@@ -1,7 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package, its runtime dependency, and the
+``test`` extra.
 
-A ``setup.py`` is kept alongside ``pyproject.toml`` so that editable installs
-work in offline environments whose setuptools lacks PEP 660 wheel support.
+``pip install -e ".[test]"`` installs everything the test suite imports;
+CI installs exactly this, so the two cannot drift apart.
 """
 
 from setuptools import find_packages, setup
@@ -17,4 +18,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -5,9 +5,11 @@ Operators drive this stack from ``docs/api.md`` and
 effectively unshipped (or worse: shipped and unsupportable).  The rule
 extracts the real surface from the code —
 
-* HTTP routes: string literals compared against a ``path`` variable in
-  ``service/**`` request handlers (``if path == "/narrate":`` and
-  ``path in (...)`` membership tests), and
+* HTTP routes: the keys of ``service/**`` route tables
+  (``{("POST", "/narrate"): ..., ...}``, what the shared front end
+  dispatches on), plus string literals compared against a ``path``
+  variable (``if path == "/narrate":`` and ``path in (...)`` membership
+  tests), and
 * CLI flags: ``add_argument("--flag", ...)`` calls in ``service/**``
   ``__main__`` modules —
 
@@ -19,13 +21,30 @@ sections), but the code may not grow surface the docs don't know about.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.analysis.engine import AnalysisContext, Finding, SourceFile
 from repro.analysis.rules import Rule
 
 _DOC_PAGES = ("api.md", "operations.md")
 _PATH_NAMES = {"path", "route"}
+_HTTP_METHODS = {"GET", "POST", "PUT", "PATCH", "DELETE", "HEAD"}
+
+
+def _route_key(node: Optional[ast.AST]) -> Optional[str]:
+    """The path of a route-table key ``("METHOD", "/path")``, else None."""
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == 2):
+        return None
+    method, path = node.elts
+    if (
+        isinstance(method, ast.Constant)
+        and method.value in _HTTP_METHODS
+        and isinstance(path, ast.Constant)
+        and isinstance(path.value, str)
+        and path.value.startswith("/")
+    ):
+        return path.value
+    return None
 
 
 def _route_literals(source: SourceFile) -> list[tuple[str, int]]:
@@ -35,6 +54,12 @@ def _route_literals(source: SourceFile) -> list[tuple[str, int]]:
         return isinstance(node, ast.Name) and node.id in _PATH_NAMES
 
     for node in ast.walk(source.tree):
+        if isinstance(node, ast.Dict):
+            for key in node.keys:  # a ``**spread`` entry has key None
+                path = _route_key(key)
+                if path is not None:
+                    routes.append((path, key.lineno))
+            continue
         if not isinstance(node, ast.Compare):
             continue
         sides = [node.left, *node.comparators]

@@ -123,18 +123,16 @@ class _RuleMemo:
 class StepTranslator(Protocol):
     """What a neural generator must provide to plug into the facade.
 
-    ``translate_step`` is the mandatory per-step hook.  Generators may
-    additionally offer the optional batch hooks honoured by
-    :meth:`Lantern.describe_plan` and :meth:`Lantern.__init__`:
-
-    * ``translate_steps(acts, rule_steps) -> list[str]`` — translate all
-      neural-bound steps of one plan in a single (batched) call;
-    * ``configure_cache(size=..., enabled=...)`` — receive the
-      ``decode_cache_size`` / ``decode_cache_enabled`` knobs of
-      :class:`LanternConfig`.
+    ``translate_steps(acts, rule_steps) -> list[str]`` translates the
+    neural-bound steps of a whole batch of plans in one call.  Generators
+    may additionally offer ``configure_cache(size=..., enabled=...)`` to
+    receive the ``decode_cache_size`` / ``decode_cache_enabled`` knobs of
+    :class:`LanternConfig`.
     """
 
-    def translate_step(self, act: Act, rule_step: NarrationStep) -> str:  # pragma: no cover
+    def translate_steps(
+        self, acts: Sequence[Act], rule_steps: Sequence[NarrationStep]
+    ) -> list[str]:  # pragma: no cover
         ...
 
 
@@ -251,19 +249,8 @@ class Lantern:
     # ------------------------------------------------------------------
 
     def describe_plan(self, tree: OperatorTree, mode: str = MODE_RULE) -> Narration:
-        """Narrate an operator tree using the requested generator.
-
-        In MODE_NEURAL/MODE_AUTO every step routed to the neural generator is
-        collected first and translated in **one batched call** when the
-        generator exposes ``translate_steps`` (one fused encoder forward and
-        beam decode for the whole plan); generators offering only the
-        per-step ``translate_step`` hook keep working unchanged.
-        """
-        narration, neural_bound, neural_path = self._prepare_narration(tree, mode)
-        if not neural_path:
-            return narration
-        texts = self._translate_neural_steps(neural_bound)
-        return self._assemble_neural(narration, neural_bound, texts, mode)
+        """Narrate one operator tree: :meth:`describe_plans` on a batch of one."""
+        return self.describe_plans([tree], mode)[0]
 
     def describe_plans(
         self,
@@ -273,16 +260,16 @@ class Lantern:
     ) -> list[Union[Narration, Exception]]:
         """Narrate several operator trees with **one fused neural decode**.
 
-        This is the multi-plan generalization of :meth:`describe_plan` that
-        the LANTERN-SERVE micro-batcher drives: the neural-bound steps of
-        every plan in the batch are concatenated (in request order) and
-        translated through a single ``translate_steps`` call — one padded
+        The LANTERN-SERVE micro-batcher drives this with every request of a
+        batch, and :meth:`describe_plan` with a batch of one.  The
+        neural-bound steps of every plan are concatenated (in request order)
+        and translated through a single ``translate_steps`` call — one padded
         encoder forward and one fused beam tensor for the whole batch, with
         cross-plan deduplication of repeated act signatures via the decode
         cache's in-call dedup.  Rule narration, habituation bookkeeping, and
         exposure-based wording cycling all happen in the same order as an
-        equivalent sequence of :meth:`describe_plan` calls, so the produced
-        narrations are token-identical to one-at-a-time narration.
+        equivalent sequence of one-plan calls, so the produced narrations
+        are token-identical to one-at-a-time narration.
 
         ``mode`` is either one mode for every tree or a per-tree sequence.
         With ``collect_errors=True`` a failing tree contributes its exception
@@ -335,10 +322,10 @@ class Lantern:
         Returns the rule narration, the neural-bound ``(position, act,
         step)`` triples, and whether the neural assembly path applies at all
         (False for MODE_RULE or a facade without a generator).  Habituation
-        is decided *before* this plan's operators are recorded (matching
-        :meth:`describe_plan` semantics), and recording happens here so that
-        in a batch each plan's routing sees the exposure counts of every
-        plan narrated before it — exactly as in sequential calls.
+        is decided *before* this plan's operators are recorded, and
+        recording happens here so that in a batch each plan's routing sees
+        the exposure counts of every plan narrated before it — exactly as in
+        sequential calls.
         """
         if mode not in (MODE_RULE, MODE_NEURAL, MODE_AUTO):
             raise NarrationError(f"unknown narration mode {mode!r}")
@@ -423,21 +410,19 @@ class Lantern:
     def _translate_neural_steps(
         self, neural_bound: list[tuple[int, Act, NarrationStep]]
     ) -> list[str]:
-        """Translate the collected neural-bound steps, batched when possible."""
+        """Translate the collected neural-bound steps in one batched call."""
         if not neural_bound:
             return []
-        if hasattr(self.neural, "translate_steps"):
-            texts = self.neural.translate_steps(
-                [act for _, act, _ in neural_bound],
-                [step for _, _, step in neural_bound],
+        texts = self.neural.translate_steps(
+            [act for _, act, _ in neural_bound],
+            [step for _, _, step in neural_bound],
+        )
+        if len(texts) != len(neural_bound):
+            raise NarrationError(
+                "the neural generator's translate_steps returned "
+                f"{len(texts)} texts for {len(neural_bound)} steps"
             )
-            if len(texts) != len(neural_bound):
-                raise NarrationError(
-                    "the neural generator's translate_steps returned "
-                    f"{len(texts)} texts for {len(neural_bound)} steps"
-                )
-            return texts
-        return [self.neural.translate_step(act, step) for _, act, step in neural_bound]
+        return texts
 
     # ------------------------------------------------------------------
     # persistence (LANTERN-PERSIST)

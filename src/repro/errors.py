@@ -77,6 +77,22 @@ class ServiceTimeoutError(ServiceError):
     """A narration request was admitted but not answered in time (HTTP 503)."""
 
 
+class ServiceDrainingError(ServiceError):
+    """The process is draining for a restart and takes no new narrations (HTTP 503)."""
+
+
+class RequestError(ServiceError):
+    """A malformed HTTP request: body, envelope, mode or presentation (HTTP 400)."""
+
+
+class RequestTooLargeError(RequestError):
+    """The request body exceeds the size bound (HTTP 413)."""
+
+
+class RouteNotFoundError(ServiceError):
+    """No route serves this method and path (HTTP 404)."""
+
+
 class FleetError(ServiceError):
     """A LANTERN-FLEET operation failed (worker spawn, handshake, topology)."""
 

@@ -1,7 +1,7 @@
 """NEURAL-LANTERN: the neural description generator (paper §6).
 
 The facade wraps a trained QEP2Seq model and plugs into
-:class:`repro.core.Lantern` through the ``translate_step`` hook: it serializes
+:class:`repro.core.Lantern` through the ``translate_steps`` hook: it serializes
 the act, decodes an abstracted sentence with beam search, and restores the
 Table 1 tags from the corresponding rule-generated step, so that relation
 names, predicates and intermediate-result identifiers stay exact while the
@@ -168,24 +168,22 @@ class NeuralLantern:
         return detokenize(candidates[exposure % len(candidates)])
 
     def translate_step(self, act: Act, rule_step: NarrationStep) -> str:
-        """The :class:`repro.core.lantern.StepTranslator` hook.
-
-        Decodes an abstracted sentence and restores the concrete values
-        (relations, conditions, identifiers) recorded in the rule step.
-        """
-        return self._finalize(self.generate_abstracted(act), rule_step)
+        """Translate one step: :meth:`translate_steps` on a batch of one."""
+        return self.translate_steps([act], [rule_step])[0]
 
     def translate_steps(
         self, acts: Sequence[Act], rule_steps: Sequence[NarrationStep]
     ) -> list[str]:
-        """Translate all neural-bound acts of a plan in one batched call.
+        """The :class:`repro.core.lantern.StepTranslator` hook: translate
+        all neural-bound acts of a batch in one call.
 
         Cache lookups run first; the remaining *distinct* act signatures are
         decoded together through :meth:`QEP2Seq.beam_decode_batch` (one padded
         encoder forward, one fused beam tensor) and inserted into the cache.
-        Exposure cycling and tag restoration then proceed per step exactly as
-        in :meth:`translate_step`, so the output text is identical to calling
-        the per-step hook in a loop.
+        Each step then picks its candidate by exposure (the wording cycle)
+        and gets the concrete values (relations, conditions, identifiers) of
+        its rule step restored, so the output text is identical to
+        translating the steps one at a time.
         """
         if len(acts) != len(rule_steps):
             raise NLGError("translate_steps needs one rule step per act")

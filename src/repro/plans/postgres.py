@@ -29,6 +29,9 @@ _CONDITION_KEYS = ("Hash Cond", "Merge Cond", "Join Filter", "Recheck Cond")
 def _parse_node(entry: Mapping[str, Any]) -> OperatorNode:
     if "Node Type" not in entry:
         raise PlanFormatError("plan node is missing 'Node Type'")
+    node_type = entry["Node Type"]
+    if not isinstance(node_type, str) or not node_type:
+        raise PlanFormatError(f"plan node 'Node Type' must be a non-empty string, got {node_type!r}")
     attributes: dict[str, Any] = {}
     if entry.get("Relation Name"):
         attributes[ATTR_RELATION] = entry["Relation Name"]
@@ -56,7 +59,6 @@ def _parse_node(entry: Mapping[str, Any]) -> OperatorNode:
     if entry.get("Output"):
         attributes[ATTR_OUTPUT] = list(entry["Output"])
 
-    node_type = entry["Node Type"]
     strategy = entry.get("Strategy")
     if node_type == "Aggregate" and strategy:
         # real PostgreSQL reports Aggregate + Strategy; expose the specific

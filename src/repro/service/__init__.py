@@ -5,6 +5,8 @@ The serving layer that exposes LANTERN to many clients at once:
 * :mod:`repro.service.server` — a stdlib ``ThreadingHTTPServer`` JSON API
   (``POST /narrate``, ``GET /metrics`` — JSON or ``?format=prometheus`` —
   ``GET /trace``, ``GET /healthz``);
+* :mod:`repro.service.frontend` — the route-table HTTP front end and the
+  one error-to-status table, shared by the service and the fleet router;
 * :mod:`repro.service.batcher` — the micro-batching request queue that
   coalesces concurrent narrations into one fused neural decode per batch
   window, with bounded-queue admission control;

@@ -1,9 +1,9 @@
 """The micro-batching narration queue at the heart of LANTERN-SERVE.
 
 HTTP handler threads never touch the :class:`~repro.core.lantern.Lantern`
-directly: they :meth:`MicroBatcher.submit` a parsed operator tree and block
-on a per-request event.  A single worker thread drains the queue and drives
-:meth:`Lantern.describe_plans`, so
+directly: they :meth:`MicroBatcher.submit_many` parsed operator trees and
+block on per-request events.  A single worker thread drains the queue and
+drives :meth:`Lantern.describe_plans`, so
 
 * concurrent requests are **coalesced into one fused neural decode** per
   batch (one padded encoder forward and one beam tensor for every
@@ -22,7 +22,7 @@ coalesce more aggressively under bursty-but-sparse traffic; the default of 0
 adds no latency to an idle service.
 
 Admission control is a bounded queue: when ``max_queue_depth`` requests are
-already waiting, :meth:`submit` raises
+already waiting, a submission gets
 :class:`~repro.errors.ServiceOverloadError` immediately and the HTTP layer
 answers 429 — shedding load beats collapsing under it.
 """
@@ -173,62 +173,12 @@ class MicroBatcher:
         timeout_s: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> Narration:
-        """Enqueue one narration and block until the worker answers it.
-
-        ``span`` (when tracing) is the request's root span; the worker
-        attaches the queue/batch/decode stage children to it.
-        """
-        submitted_at = time.perf_counter()
-        worker = self._worker  # snapshot: a concurrent stop() may None it
-        if self._stopping.is_set():
-            # a stuck worker can survive stop() (reference kept, see above);
-            # it must not accept new work — without this gate a submission
-            # arriving after the drain would block for its full timeout
-            raise ServiceTimeoutError("the narration service is shutting down")
-        if worker is None or not worker.is_alive():
-            raise ServiceTimeoutError("the narration worker is not running")
-        request = _PendingRequest(tree, mode, span if span is not None else NOOP_SPAN)
-        # queue wait is measured from submit entry: the admission-control
-        # checks above are part of getting into the queue, not of admission
-        # parsing, and counting them here keeps the trace's stages contiguous
-        request.enqueued_at = submitted_at
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            raise ServiceOverloadError(
-                f"narration queue is full ({self.config.max_queue_depth} waiting); retry later"
-            ) from None
-        # re-check after the enqueue: the worker can die (or stop() can
-        # begin) between the checks above and the put, in which case the
-        # request would sit unanswered until its full timeout.  An unset
-        # event with no live, accepting worker means nobody will ever
-        # answer — fail fast instead.  The request is failed in place (not
-        # just raised past): it stays queued, and a worker started later
-        # must see it as already answered rather than decode a narration
-        # nobody is waiting for.
-        worker = self._worker
-        if (
-            self._stopping.is_set() or worker is None or not worker.is_alive()
-        ) and not request.event.is_set():
-            request.error = ServiceTimeoutError(
-                "the narration worker exited before the request could be handled"
-            )
-            request.event.set()
-            raise request.error
-        timeout = timeout_s if timeout_s is not None else self.config.request_timeout_s
-        if not request.event.wait(timeout):
-            # the worker may still answer later; the submitter has moved on
-            raise ServiceTimeoutError(f"narration not produced within {timeout:.1f}s")
-        if request.span and request.answered_at is not None:
-            # result hand-off: from the batch decode finishing to this
-            # submitter resuming (the worker's result-distribution loop plus
-            # the thread wake) — without it the trace's stages would show an
-            # unexplained hole after decode
-            request.span.add_child_at("wake", request.answered_at, time.perf_counter())
-        if request.error is not None:
-            raise request.error
-        assert request.narration is not None
-        return request.narration
+        """Enqueue one narration and block until the worker answers it: a
+        batch of one through :meth:`submit_many`, its failure raised."""
+        (outcome,) = self.submit_many([tree], [mode], timeout_s=timeout_s, span=span)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def submit_many(
         self,
@@ -237,28 +187,32 @@ class MicroBatcher:
         timeout_s: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> list[Union[Narration, Exception]]:
-        """Enqueue several narrations at once and wait for all of them.
+        """Enqueue narrations back to back and wait for all of them.
 
-        The batch-wire form of :meth:`submit`: all requests enter the queue
-        back to back, so an idle worker drains them into **one fused
-        decode** (up to ``max_batch_size``).  Per-request failures —
-        admission refusals once the queue fills mid-batch, narration
-        errors, timeouts — are returned *in place* as exceptions rather
-        than aborting the call, mirroring ``describe_plans(collect_errors=
-        True)`` so the serving layer can answer each batch item
-        individually.  One shared deadline covers the whole batch.
+        An idle worker drains them into **one fused decode** (up to
+        ``max_batch_size``).  Per-request failures — admission refusals once
+        the queue fills, narration errors, timeouts — are returned *in
+        place* as exceptions, mirroring ``describe_plans(collect_errors=
+        True)``, so the serving layer answers each plan individually.  One
+        shared deadline covers the whole batch.  ``span`` (when tracing) is
+        the request's root span; the worker attaches the queue/batch/decode
+        stage children to it.
         """
+        # queue wait is measured from submit entry: the admission-control
+        # checks below are part of getting into the queue, not of admission
+        # parsing, and counting them here keeps the trace's stages contiguous
         submitted_at = time.perf_counter()
         request_span = span if span is not None else NOOP_SPAN
-        results: list[Union[Narration, Exception]] = []
-        pending: list[tuple[int, _PendingRequest]] = []
-        worker = self._worker
+        worker = self._worker  # snapshot: a concurrent stop() may None it
         if self._stopping.is_set():
-            error: Exception = ServiceTimeoutError("the narration service is shutting down")
-            return [error] * len(trees)
+            # a stuck worker can survive stop() (reference kept, see above);
+            # it must not accept new work — without this gate a submission
+            # arriving after the drain would block for its full timeout
+            return [ServiceTimeoutError("the narration service is shutting down")] * len(trees)
         if worker is None or not worker.is_alive():
-            error = ServiceTimeoutError("the narration worker is not running")
-            return [error] * len(trees)
+            return [ServiceTimeoutError("the narration worker is not running")] * len(trees)
+        results: list[Union[Narration, Exception, None]] = []
+        pending: list[tuple[int, _PendingRequest]] = []
         for tree, mode in zip(trees, modes):
             request = _PendingRequest(tree, mode, request_span)
             request.enqueued_at = submitted_at
@@ -272,9 +226,15 @@ class MicroBatcher:
                 )
                 continue
             pending.append((len(results), request))
-            results.append(None)  # type: ignore[arg-type] - filled below
-        # same post-enqueue liveness re-check as submit(): a worker dying (or
-        # stop() starting) during the puts would otherwise strand the batch
+            results.append(None)
+        # re-check after the enqueue: the worker can die (or stop() can
+        # begin) between the checks above and the puts, in which case the
+        # requests would sit unanswered until their full timeout.  An unset
+        # event with no live, accepting worker means nobody will ever
+        # answer — fail fast instead.  Requests are failed in place (not
+        # just reported): they stay queued, and a worker started later must
+        # see them as already answered rather than decode narrations nobody
+        # is waiting for.
         worker = self._worker
         if self._stopping.is_set() or worker is None or not worker.is_alive():
             for _, request in pending:
@@ -288,6 +248,7 @@ class MicroBatcher:
         for position, request in pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not request.event.wait(remaining):
+                # the worker may still answer later; the submitter moves on
                 results[position] = ServiceTimeoutError(
                     f"narration not produced within {timeout:.1f}s"
                 )
@@ -295,11 +256,13 @@ class MicroBatcher:
             results[position] = (
                 request.error if request.error is not None else request.narration
             )
-        if request_span and pending:
-            last = pending[-1][1]
-            if last.answered_at is not None:
-                request_span.add_child_at("wake", last.answered_at, time.perf_counter())
-        return results
+        if request_span and pending and pending[-1][1].answered_at is not None:
+            # result hand-off: from the batch decode finishing to this
+            # submitter resuming (the worker's result-distribution loop plus
+            # the thread wake) — without it the trace's stages would show an
+            # unexplained hole after decode
+            request_span.add_child_at("wake", pending[-1][1].answered_at, time.perf_counter())
+        return results  # type: ignore[return-value] - every slot is filled
 
     # ------------------------------------------------------------------
     # worker side

@@ -9,10 +9,11 @@ signature (:func:`repro.service.fleet.ring.plan_routing_signature`) onto the
 ring.  A plan shape therefore always lands on the worker whose decode cache
 and rule memo already hold it.
 
-Batch-wire requests (``{"plans": [...]}``) with mixed signatures are split
-per shard, forwarded concurrently, and the per-item results rejoined in the
-original order — the client sees one envelope regardless of how many
-workers answered it.
+A single plan is a batch of one.  The plans of a request are grouped per
+shard, each group is forwarded as one ``{"plans": [...]}`` sub-batch (the
+groups concurrently), and the per-item results are rejoined in the original
+order — the client sees one envelope, or for a single plan its one item,
+regardless of how many workers answered.
 
 Lifecycle machinery:
 
@@ -48,12 +49,10 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Optional
-from urllib.parse import parse_qs
 
-from repro.errors import FleetError, PlanDetectionError, PlanFormatError, ServiceError
-from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
+from repro.errors import FleetError, RequestError, ServiceError, ServiceTimeoutError
 from repro.obs.prometheus import PrometheusWriter
 from repro.obs.tracing import NOOP_SPAN, Span, TraceStore, Tracer
 from repro.plans.registry import default_registry
@@ -64,7 +63,18 @@ from repro.service.fleet.ring import (
     plan_routing_signature,
 )
 from repro.service.fleet.worker import READY_PREFIX
-from repro.service.server import DEFAULT_HOST, MAX_BODY_BYTES, _HTTPError
+from repro.service.frontend import (
+    TRACE_HEADER,
+    FrontEnd,
+    Route,
+    envelope_plans,
+    error_item,
+    error_response,
+    make_front_end,
+    narrate_response,
+    observability_routes,
+)
+from repro.service.server import DEFAULT_HOST
 from repro.service.telemetry import ServiceTelemetry
 
 __all__ = ["FleetConfig", "WorkerHandle", "LanternFleet", "DEFAULT_ROUTER_PORT"]
@@ -334,10 +344,7 @@ class LanternFleet:
         targets = list(worker_ids) if worker_ids else known
         unknown = [wid for wid in targets if wid not in known]
         if unknown:
-            raise _HTTPError(
-                400,
-                {"error": "bad_request", "message": f"unknown workers: {unknown}"},
-            )
+            raise RequestError(f"unknown workers: {unknown}")
         restarted: list[str] = []
         with self._lifecycle_lock:
             for worker_id in targets:
@@ -436,194 +443,122 @@ class LanternFleet:
     # ------------------------------------------------------------------
 
     def signature_of(self, plan: Any, plan_format: Optional[str] = None) -> str:
-        """Ingest a wire plan and return its routing signature (400 on bad)."""
-        try:
-            tree = self.registry.parse(plan, plan_format)
-        except PlanDetectionError as error:
-            raise _HTTPError(
-                400,
-                {
-                    "error": "plan_format",
-                    "message": str(error),
-                    "attempted_formats": error.attempted_formats,
-                },
-            ) from error
-        except PlanFormatError as error:
-            raise _HTTPError(400, {"error": "plan_format", "message": str(error)}) from error
-        return plan_routing_signature(tree)
+        """Ingest a wire plan and return its routing signature."""
+        return plan_routing_signature(self.registry.parse(plan, plan_format))
 
-    def _forward(
-        self,
-        signature: str,
-        body: dict[str, Any],
-        span: Span = NOOP_SPAN,
-    ) -> tuple[int, dict[str, Any], Optional[str]]:
-        """Route by signature and POST to the owning worker.
+    def narrate_items(
+        self, body: Any, span: Span = NOOP_SPAN
+    ) -> tuple[list[dict[str, Any]], Counter[str]]:
+        """Route every plan of a ``/narrate`` body; items in request order.
 
-        One re-route is attempted when the owning worker's *process is
-        dead* — the only case where replaying the request is safe and the
-        ring is known stale.  Any other failure fails fast through the
-        ServiceTimeoutError-shaped 503.
+        Plans are grouped by the shard their signature hashes to, and each
+        group is forwarded as one ``{"plans": [...]}`` sub-batch — other
+        groups on the fan-out pool, the last one on this thread.  A group
+        whose worker is *confirmed dead* is re-routed once (the ring
+        without it); any other forward failure fails fast as a 503.  A
+        single plan is a batch of one here too.  Returns the items and how
+        many each shard answered.
         """
-        for attempt in range(2):
-            with self._lock:
-                worker_id = self.ring.route(signature)
-                handle = self.workers.get(worker_id) if worker_id else None
-            if handle is None:
-                return 503, {"error": "timeout", "message": "no live workers in the fleet"}, None
-            headers = {"X-Lantern-Trace-Id": span.trace_id} if span else None
-            try:
-                with span.child("forward", worker=worker_id, attempt=attempt):
-                    status, payload = handle.client.request_json(
-                        "POST", "/narrate", body, headers=headers
-                    )
-            except ServiceError as error:
-                if _process_dead(handle.process) and attempt == 0:
-                    # confirmed dead: take it out and re-route once; the
-                    # heartbeat respawns it into the same shard shortly
-                    self._retire_from_ring(worker_id)
-                    span.tag(rerouted_from=worker_id)
-                    continue
-                return (
-                    503,
-                    {
-                        "error": "timeout",
-                        "message": f"worker {worker_id} did not answer: {error}",
-                    },
-                    worker_id,
-                )
-            with self._lock:
-                self._routed[worker_id] += body_item_count(body)
-            return status, payload, worker_id
-        return 503, {"error": "timeout", "message": "no live workers in the fleet"}, None
-
-    def narrate_payload(
-        self, body: dict[str, Any], span: Span = NOOP_SPAN
-    ) -> tuple[int, dict[str, Any]]:
-        """Route one single-plan ``/narrate`` body; returns (status, body)."""
-        if not isinstance(body, dict):
-            raise _HTTPError(
-                400, {"error": "bad_request", "message": "request body must be a JSON object"}
-            )
-        if "plan" not in body:
-            raise _HTTPError(
-                400, {"error": "bad_request", "message": "request body needs a 'plan' key"}
-            )
-        with span.child("route"):
-            signature = self.signature_of(body["plan"], body.get("format"))
-        status, payload, worker_id = self._forward(signature, body, span)
-        if worker_id is not None and isinstance(payload, dict):
-            payload.setdefault("worker_id", worker_id)
-        return status, payload
-
-    def narrate_batch_payload(
-        self, body: dict[str, Any], span: Span = NOOP_SPAN
-    ) -> tuple[int, dict[str, Any]]:
-        """Split a batch-wire body per shard, forward concurrently, rejoin.
-
-        Response items come back in request order regardless of the shard
-        split; per-item failures (bad plan, overload on one shard) stay
-        per-item exactly as a single worker would report them.
-        """
-        plans = body.get("plans")
-        if not isinstance(plans, list) or not plans:
-            raise _HTTPError(
-                400, {"error": "bad_request", "message": "'plans' must be a non-empty list"}
-            )
-        shared = {
-            key: body[key] for key in ("mode", "format", "presentation") if key in body
-        }
-        results: list[Optional[dict[str, Any]]] = [None] * len(plans)
+        plans = envelope_plans(body)
+        shared = {key: body[key] for key in ("mode", "format", "presentation") if key in body}
+        items: list[dict[str, Any]] = [{} for _ in plans]
         pending: list[tuple[int, str]] = []
         with span.child("route", batch=len(plans)):
             for index, plan in enumerate(plans):
                 try:
                     pending.append((index, self.signature_of(plan, body.get("format"))))
-                except _HTTPError as error:
-                    results[index] = {**error.body, "status": error.status}
+                except Exception as error:  # noqa: BLE001 - answered in this plan's item
+                    items[index] = error_item(error)
         workers_used: Counter[str] = Counter()
-        for round_ in range(2):
-            if not pending:
-                break
+        for attempt in range(2):
             groups: dict[Optional[str], list[tuple[int, str]]] = {}
             with self._lock:
-                for index, signature in pending:
-                    groups.setdefault(self.ring.route(signature), []).append(
-                        (index, signature)
-                    )
-            unrouted = groups.pop(None, [])
-            for index, _ in unrouted:
-                results[index] = {
-                    "error": "timeout",
-                    "message": "no live workers in the fleet",
-                    "status": 503,
-                }
-            futures = {}
-            for worker_id, members in groups.items():
+                for member in pending:
+                    groups.setdefault(self.ring.route(member[1]), []).append(member)
+            for index, _ in groups.pop(None, []):
+                items[index] = error_item(ServiceTimeoutError("no live workers in the fleet"))
+
+            def forward(worker_id: str, members: list[tuple[int, str]]) -> Any:
                 sub_body = {**shared, "plans": [plans[index] for index, _ in members]}
-                futures[worker_id] = (
-                    members,
-                    self._executor.submit(
-                        self._forward_shard, worker_id, sub_body, span
-                    ),
-                )
+                return self._forward(worker_id, sub_body, span, attempt)
+
+            shards = list(groups.items())
+            futures = [self._executor.submit(forward, *shard) for shard in shards[:-1]]
+            last = [forward(*shards[-1])] if shards else []
+            outcomes = [future.result() for future in futures] + last
             pending = []
-            for worker_id, (members, future) in futures.items():
-                outcome = future.result()
-                if outcome is None:  # confirmed-dead worker: re-route once
-                    if round_ == 0:
-                        pending.extend(members)
-                    else:
-                        for index, _ in members:
-                            results[index] = {
-                                "error": "timeout",
-                                "message": f"worker {worker_id} did not answer",
-                                "status": 503,
-                            }
+            for (worker_id, members), outcome in zip(shards, outcomes):
+                if outcome is None and attempt == 0:  # confirmed dead: re-route once
+                    pending.extend(members)
+                    span.tag(rerouted_from=worker_id)
                     continue
+                if outcome is None:
+                    outcome = error_response(
+                        ServiceTimeoutError(f"worker {worker_id} did not answer")
+                    )
                 status, payload = outcome
                 if status == 200 and isinstance(payload.get("results"), list):
                     workers_used[worker_id] += len(members)
-                    with self._lock:
-                        self._routed[worker_id] += len(members)
-                    for (index, _), item in zip(members, payload["results"]):
-                        if isinstance(item, dict) and "error" not in item:
-                            item.setdefault("worker_id", worker_id)
-                        results[index] = item
-                else:  # whole-shard refusal (draining, overload): per-item copy
-                    for index, _ in members:
-                        results[index] = {**payload, "status": status}
-        return 200, {
-            "results": results,
-            "count": len(plans),
-            "workers": dict(sorted(workers_used.items())),
-        }
+                    answered = payload["results"]
+                else:  # the worker refused the whole sub-batch (draining, ...):
+                    # each plan gets the refusal, minus the envelope's trace id
+                    payload.pop("trace_id", None)
+                    answered = [{**payload, "status": status} for _ in members]
+                for (index, _), item in zip(members, answered):
+                    item["worker_id"] = worker_id
+                    items[index] = item
+            if not pending:
+                break
+        return items, workers_used
 
-    def _forward_shard(
-        self, worker_id: str, sub_body: dict[str, Any], span: Span
+    def _forward(
+        self, worker_id: str, sub_body: dict[str, Any], span: Span, attempt: int
     ) -> Optional[tuple[int, dict[str, Any]]]:
-        """POST one shard's sub-batch; ``None`` means confirmed-dead worker
-        (the caller re-routes those items)."""
+        """POST one shard's sub-batch; ``None`` when the worker is gone or
+        its process confirmed dead (the caller re-routes those plans)."""
         with self._lock:
             handle = self.workers.get(worker_id)
         if handle is None:
             return None
-        headers = {"X-Lantern-Trace-Id": span.trace_id} if span else None
+        headers = {TRACE_HEADER: span.trace_id} if span else None
         try:
             with span.child(
-                "forward", worker=worker_id, batch=len(sub_body["plans"])
+                "forward", worker=worker_id, batch=len(sub_body["plans"]), attempt=attempt
             ):
-                return handle.client.request_json(
-                    "POST", "/narrate", sub_body, headers=headers
-                )
+                outcome = handle.client.request_json("POST", "/narrate", sub_body, headers=headers)
         except ServiceError as error:
             if _process_dead(handle.process):
+                # take it out; the heartbeat respawns it into the same shard
                 self._retire_from_ring(worker_id)
                 return None
-            return 503, {
-                "error": "timeout",
-                "message": f"worker {worker_id} did not answer: {error}",
-            }
+            return error_response(
+                ServiceTimeoutError(f"worker {worker_id} did not answer: {error}")
+            )
+        with self._lock:
+            self._routed[worker_id] += len(sub_body["plans"])
+        return outcome
+
+    def routes(self) -> dict[tuple[str, str], Route]:
+        """The router's route table."""
+        return {
+            ("POST", "/narrate"): Route(self._narrate, trace="POST /narrate (router)"),
+            ("POST", "/admin/restart"): Route(self._restart),
+            **observability_routes(self),
+        }
+
+    def _narrate(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        body = request._read_body()
+        items, workers_used = self.narrate_items(body, request.span)
+        return narrate_response(
+            request, body, items, workers=dict(sorted(workers_used.items()))
+        )
+
+    def _restart(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        body = request._read_body(required=False) or {}
+        targets = body.get("workers")
+        if targets is None and body.get("worker"):
+            targets = [body["worker"]]
+        return 200, self.restart_workers(targets)
 
     # ------------------------------------------------------------------
     # observability
@@ -840,165 +775,5 @@ class LanternFleet:
             self.stop()
 
 
-def body_item_count(body: dict[str, Any]) -> int:
-    plans = body.get("plans")
-    return len(plans) if isinstance(plans, list) else 1
-
-
-def _make_router_handler(fleet: LanternFleet) -> type[BaseHTTPRequestHandler]:
-    class RouterHandler(BaseHTTPRequestHandler):
-        server_version = "LanternFleet/1.0"
-        protocol_version = "HTTP/1.1"
-        disable_nagle_algorithm = True
-
-        def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-            pass
-
-        def _send_json(self, status: int, body: dict[str, Any]) -> None:
-            payload = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            if status == 429:
-                self.send_header("Retry-After", "1")
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            payload = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _read_body(self, required: bool = True) -> Optional[dict[str, Any]]:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length <= 0:
-                if not required:
-                    return None
-                self.close_connection = True
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "missing request body"}
-                )
-            if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                raise _HTTPError(
-                    413,
-                    {
-                        "error": "too_large",
-                        "message": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    },
-                )
-            raw = self.rfile.read(length)
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": f"invalid JSON body: {error}"}
-                ) from error
-
-        def do_POST(self) -> None:
-            started = time.perf_counter()
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path == "/narrate":
-                self._post_narrate(started)
-            elif path == "/admin/restart":
-                self._post_restart(started)
-            else:
-                self._read_body(required=False)
-                fleet.telemetry.record_request(
-                    404, time.perf_counter() - started, endpoint="other"
-                )
-                self._send_json(404, {"error": "not_found", "message": self.path})
-
-        def _post_narrate(self, started: float) -> None:
-            root = fleet.tracer.trace(
-                "POST /narrate (router)",
-                trace_id=self.headers.get("X-Lantern-Trace-Id"),
-            )
-            status = 500
-            with root:
-                try:
-                    body = self._read_body()
-                    if isinstance(body, dict) and "plans" in body and "plan" not in body:
-                        status, payload = fleet.narrate_batch_payload(body, span=root)
-                    else:
-                        status, payload = fleet.narrate_payload(body, span=root)
-                    if root and isinstance(payload, dict):
-                        payload["trace_id"] = root.trace_id
-                except _HTTPError as error:
-                    status, payload = error.status, error.body
-                    root.tag(error=error.body.get("error", "http_error"))
-                except Exception as error:  # noqa: BLE001 - last-resort 500
-                    status, payload = 500, {
-                        "error": "internal",
-                        "message": f"{type(error).__name__}: {error}",
-                    }
-                root.tag(status=status)
-                self._send_json(status, payload)
-            fleet.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint="/narrate"
-            )
-
-        def _post_restart(self, started: float) -> None:
-            status = 500
-            try:
-                body = self._read_body(required=False) or {}
-                targets = body.get("workers")
-                if targets is None and body.get("worker"):
-                    targets = [body["worker"]]
-                payload = fleet.restart_workers(targets)
-                status = 200
-            except _HTTPError as error:
-                status, payload = error.status, error.body
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                payload = {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-            fleet.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint="/admin/restart"
-            )
-            self._send_json(status, payload)
-
-        def do_GET(self) -> None:
-            started = time.perf_counter()
-            path, _, query_text = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            query = parse_qs(query_text)
-            status = 200
-            endpoint = path
-            try:
-                if path == "/metrics":
-                    if query.get("format", [""])[0] == "prometheus":
-                        self._send_text(
-                            200, fleet.prometheus_metrics(), PROMETHEUS_CONTENT_TYPE
-                        )
-                    else:
-                        self._send_json(200, fleet.metrics())
-                elif path == "/trace":
-                    limit = None
-                    if "limit" in query:
-                        try:
-                            limit = int(query["limit"][0])
-                        except ValueError:
-                            limit = None
-                    self._send_json(200, fleet.traces(limit))
-                elif path == "/healthz":
-                    health = fleet.healthz()
-                    status = 200 if health["status"] == "ok" else 503
-                    self._send_json(status, health)
-                else:
-                    status = 404
-                    endpoint = "other"
-                    self._send_json(404, {"error": "not_found", "message": self.path})
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                status = 500
-                self._send_json(
-                    500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-                )
-            fleet.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint=endpoint
-            )
-
-    return RouterHandler
+def _make_router_handler(fleet: LanternFleet) -> type[FrontEnd]:
+    return make_front_end("LanternFleet/1.0", fleet.routes(), fleet.telemetry, fleet.tracer)

@@ -1,8 +1,8 @@
 """The LANTERN-FLEET worker: one LANTERN-SERVE process plus an admin surface.
 
 A :class:`WorkerService` is a plain :class:`~repro.service.server.LanternService`
-extended through the ``extra_post`` / ``extra_get`` hooks with the three
-endpoints the fleet router drives its lifecycle with:
+whose route table adds the three endpoints the fleet router drives its
+lifecycle with:
 
 * ``POST /admin/drain`` — flip to draining (``/healthz`` 503, narrations
   refused) while queued work finishes; the rolling-restart first step.
@@ -38,6 +38,7 @@ from typing import Any, Optional
 
 from repro.core.lantern import Lantern
 from repro.errors import FleetError
+from repro.service.frontend import FrontEnd, Route
 from repro.service.server import DEFAULT_HOST, LanternService, ServiceConfig
 
 __all__ = [
@@ -110,25 +111,27 @@ def import_cache_payload(
 class WorkerService(LanternService):
     """A LANTERN-SERVE process that takes lifecycle orders from the router."""
 
-    def extra_post(
-        self, path: str, body: Optional[dict[str, Any]]
-    ) -> Optional[tuple[int, dict[str, Any]]]:
-        if path == "/admin/drain":
-            self.begin_drain()
-            response: dict[str, Any] = {"status": "draining"}
-            if self.config.instance_id is not None:
-                response["worker_id"] = self.config.instance_id
-            return 200, response
-        if path == "/admin/cache":
-            return 200, import_cache_payload(self, body)
-        return None
+    def routes(self) -> dict[tuple[str, str], Route]:
+        return {
+            **super().routes(),
+            ("POST", "/admin/drain"): Route(self._drain),
+            ("GET", "/admin/cache"): Route(self._export_cache),
+            ("POST", "/admin/cache"): Route(self._import_cache),
+        }
 
-    def extra_get(
-        self, path: str, query: dict[str, list[str]]
-    ) -> Optional[tuple[int, dict[str, Any]]]:
-        if path == "/admin/cache":
-            return 200, export_cache_payload(self)
-        return None
+    def _drain(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        request._read_body(required=False)
+        self.begin_drain()
+        response: dict[str, Any] = {"status": "draining"}
+        if self.config.instance_id is not None:
+            response["worker_id"] = self.config.instance_id
+        return 200, response
+
+    def _export_cache(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        return 200, export_cache_payload(self)
+
+    def _import_cache(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        return 200, import_cache_payload(self, request._read_body(required=False))
 
 
 def build_worker(

@@ -1,8 +1,9 @@
 """The LANTERN-SERVE HTTP API: ``POST /narrate``, ``GET /metrics``, ``GET /healthz``.
 
 Pure stdlib (:class:`http.server.ThreadingHTTPServer`), so the serving layer
-deploys anywhere the library does.  Handler threads parse and validate
-payloads, then hand the operator tree to the shared
+deploys anywhere the library does.  The HTTP plumbing is the shared route
+table front end of :mod:`repro.service.frontend`.  Handler threads parse and
+validate payloads, then hand the operator trees to the shared
 :class:`~repro.service.batcher.MicroBatcher`; narration itself always runs
 on the batcher's single worker thread, which is what lets concurrent
 requests share one fused neural decode per batch window.
@@ -17,38 +18,40 @@ requests share one fused neural decode per batch window.
       "presentation": "document" | "annotated-tree"                        # optional
     }
 
-Responses: 200 with the narration document, 400 for malformed payloads
-(including the registry's attempted-format list), 429 when the admission
-queue is full, 503 when a narration times out.
+A ``"plans": [...]`` list in place of ``"plan"`` narrates many plans; a
+single plan is that batch of one, unwrapped.  Responses: 200 with the
+narration document, 400 for malformed payloads (including the registry's
+attempted-format list), 429 when the admission queue is full, 503 when a
+narration times out — the one table in
+:func:`repro.service.frontend.error_response`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Optional
-
-from urllib.parse import parse_qs
 
 from repro.core.lantern import MODE_AUTO, MODE_NEURAL, MODE_RULE, Lantern
 from repro.core.narration import Narration
 from repro.core.presentation import PRESENTATION_MODES
-from repro.errors import (
-    NarrationError,
-    PlanDetectionError,
-    PlanFormatError,
-    ReproError,
-    ServiceError,
-    ServiceOverloadError,
-    ServiceTimeoutError,
-)
+from repro.errors import RequestError, ServiceDrainingError
 from repro.obs.events import JsonEventLog
-from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.tracing import NOOP_SPAN, Span, TraceStore, Tracer
+from repro.plans.operator_tree import OperatorTree
 from repro.service.batcher import BatcherConfig, MicroBatcher
+from repro.service.frontend import (  # noqa: F401 - MAX_BODY_BYTES is re-exported
+    MAX_BODY_BYTES,
+    FrontEnd,
+    Route,
+    envelope_plans,
+    error_item,
+    make_front_end,
+    narrate_response,
+    observability_routes,
+)
 from repro.service.telemetry import ServiceTelemetry
 
 DEFAULT_HOST = "127.0.0.1"
@@ -80,19 +83,6 @@ def _process_rss_bytes() -> Optional[int]:
 
 _MODES = (MODE_RULE, MODE_NEURAL, MODE_AUTO)
 
-#: request body size bound — a QEP serialization has no business being larger
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class _HTTPError(ServiceError):
-    """Internal: carries an HTTP status + JSON body to the handler."""
-
-    def __init__(self, status: int, body: dict[str, Any]) -> None:
-        super().__init__(body.get("message", ""))
-        self.status = status
-        self.body = body
-
-
 @dataclass
 class ServiceConfig:
     """Everything the serving layer can be tuned with."""
@@ -122,7 +112,7 @@ class LanternService:
     """The servable unit: one Lantern + batcher + telemetry, HTTP-fronted.
 
     Separate from the HTTP plumbing so tests (and embedders) can call
-    :meth:`narrate_payload` / :meth:`metrics` directly, and so a future
+    :meth:`narrate_items` / :meth:`metrics` directly, and so a future
     transport (async, gRPC, ...) can reuse the whole serving core.
     """
 
@@ -163,209 +153,76 @@ class LanternService:
     # request handling (transport-independent)
     # ------------------------------------------------------------------
 
-    def narrate_payload(
-        self, body: dict[str, Any], span: Span = NOOP_SPAN
-    ) -> dict[str, Any]:
-        """Validate one ``/narrate`` body, narrate it, shape the response.
+    def narrate_items(self, body: Any, span: Span = NOOP_SPAN) -> list[dict[str, Any]]:
+        """The one ``/narrate`` pipeline: one response item per plan of ``body``.
 
-        ``span`` (when tracing) is the request's root span: validation and
-        plan ingest run under an ``admission`` child, and the span rides the
-        queued request so the batch worker can attach the queue/decode
-        stages.
+        Envelope problems (draining, not an object, no plans, an unknown
+        ``mode`` or ``presentation``) raise and fail the whole request.
+        Every plan is then ingested, all of them enter the micro-batch queue
+        in one :meth:`MicroBatcher.submit_many` pass (an idle worker fuses
+        them into one decode), and each gets its own item: the narration, or
+        its error body with its ``status``.  ``span`` is the request's root
+        span: validation and ingest run under an ``admission`` child, and
+        the batch worker attaches the queue and decode stages.
         """
         admission_started = time.perf_counter()
         with span.child("admission"):
             if self.draining:
-                raise _HTTPError(
-                    503,
-                    {
-                        "error": "draining",
-                        "message": "this worker is draining for restart; retry elsewhere",
-                    },
-                )
-            if not isinstance(body, dict):
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "request body must be a JSON object"}
-                )
-            if "plan" not in body:
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "request body needs a 'plan' key"}
-                )
+                raise ServiceDrainingError("this worker is draining for restart; retry elsewhere")
+            plans = envelope_plans(body)
             mode = body.get("mode", self.config.default_mode)
             if mode not in _MODES:
-                raise _HTTPError(
-                    400,
-                    {
-                        "error": "bad_request",
-                        "message": f"unknown mode {mode!r}; expected one of {list(_MODES)}",
-                    },
-                )
+                raise RequestError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
             presentation = body.get("presentation")
             if presentation is not None and presentation not in PRESENTATION_MODES:
-                raise _HTTPError(
-                    400,
-                    {
-                        "error": "bad_request",
-                        "message": (
-                            f"unknown presentation {presentation!r}; "
-                            f"expected one of {list(PRESENTATION_MODES)}"
-                        ),
-                    },
+                raise RequestError(
+                    f"unknown presentation {presentation!r}; "
+                    f"expected one of {list(PRESENTATION_MODES)}"
                 )
-            plan_format = body.get("format")
-            try:
-                tree, resolved_format = self.lantern.registry.ingest(
-                    body["plan"], plan_format
-                )
-            except PlanDetectionError as error:
-                raise _HTTPError(
-                    400,
-                    {
-                        "error": "plan_format",
-                        "message": str(error),
-                        "attempted_formats": error.attempted_formats,
-                    },
-                ) from error
-            except PlanFormatError as error:
-                raise _HTTPError(
-                    400,
-                    {"error": "plan_format", "message": str(error)},
-                ) from error
-            span.tag(format=resolved_format, mode=mode)
-            self.telemetry.record_stage(
-                "admission", time.perf_counter() - admission_started
-            )
-
-        started = time.perf_counter()
-        try:
-            narration = self.batcher.submit(tree, mode=mode, span=span)
-        except ServiceOverloadError as error:
-            raise _HTTPError(
-                429, {"error": "overloaded", "message": str(error), "retry_after_s": 1}
-            ) from error
-        except ServiceTimeoutError as error:
-            raise _HTTPError(503, {"error": "timeout", "message": str(error)}) from error
-        except NarrationError as error:
-            raise _HTTPError(
-                400, {"error": "narration", "message": str(error)}
-            ) from error
-        latency_s = time.perf_counter() - started
-
-        with span.child("finalize"):
-            response: dict[str, Any] = {
-                "narration": _narration_to_dict(narration),
-                "format": resolved_format,
-                "mode": mode,
-                "latency_ms": round(latency_s * 1000.0, 3),
-            }
-            if presentation is not None:
-                response["rendered"] = self.lantern.render(
-                    narration, tree=tree, mode=presentation
-                )
-            response["_telemetry"] = {"plan_format": resolved_format, "mode": mode}
-        return response
-
-    def narrate_batch_payload(
-        self, body: dict[str, Any], span: Span = NOOP_SPAN
-    ) -> dict[str, Any]:
-        """Validate one batch-wire ``/narrate`` body (``{"plans": [...]}``)
-        and narrate every plan through **one** queue pass.
-
-        All plans enter the micro-batch queue back to back
-        (:meth:`MicroBatcher.submit_many`), so an idle worker fuses the whole
-        wire batch into a single decode.  Failures are per item: a malformed
-        plan, an admission refusal, or a narration error contributes an
-        ``{"error": ..., "status": ...}`` object at its position while the
-        rest of the batch proceeds — the envelope itself only fails (400/503)
-        when it is structurally invalid or the worker is draining.  The
-        LANTERN-FLEET router splits these envelopes per shard and rejoins the
-        item lists in order.
-        """
-        if self.draining:
-            raise _HTTPError(
-                503,
-                {
-                    "error": "draining",
-                    "message": "this worker is draining for restart; retry elsewhere",
-                },
-            )
-        plans = body.get("plans")
-        if not isinstance(plans, list) or not plans:
-            raise _HTTPError(
-                400,
-                {"error": "bad_request", "message": "'plans' must be a non-empty list"},
-            )
-        mode = body.get("mode", self.config.default_mode)
-        if mode not in _MODES:
-            raise _HTTPError(
-                400,
-                {
-                    "error": "bad_request",
-                    "message": f"unknown mode {mode!r}; expected one of {list(_MODES)}",
-                },
-            )
-        presentation = body.get("presentation")
-        if presentation is not None and presentation not in PRESENTATION_MODES:
-            raise _HTTPError(
-                400,
-                {
-                    "error": "bad_request",
-                    "message": (
-                        f"unknown presentation {presentation!r}; "
-                        f"expected one of {list(PRESENTATION_MODES)}"
-                    ),
-                },
-            )
-        plan_format = body.get("format")
-        results: list[Optional[dict[str, Any]]] = [None] * len(plans)
-        ingested: list[tuple[int, Any, str]] = []
-        with span.child("admission", batch=len(plans)):
+            items: list[dict[str, Any]] = [{} for _ in plans]
+            ingested: list[tuple[int, OperatorTree, str]] = []
             for index, plan in enumerate(plans):
                 try:
-                    tree, resolved_format = self.lantern.registry.ingest(plan, plan_format)
-                except PlanDetectionError as error:
-                    results[index] = {
-                        "error": "plan_format",
-                        "message": str(error),
-                        "attempted_formats": error.attempted_formats,
-                        "status": 400,
-                    }
-                except PlanFormatError as error:
-                    results[index] = {"error": "plan_format", "message": str(error), "status": 400}
+                    tree, plan_format = self.lantern.registry.ingest(plan, body.get("format"))
+                except Exception as error:  # noqa: BLE001 - answered in this plan's item
+                    items[index] = error_item(error)
                 else:
-                    ingested.append((index, tree, resolved_format))
+                    ingested.append((index, tree, plan_format))
+            span.tag(format=",".join(sorted({f for _, _, f in ingested})), mode=mode)
+            self.telemetry.record_stage("admission", time.perf_counter() - admission_started)
+
+        started = time.perf_counter()
         outcomes = self.batcher.submit_many(
-            [tree for _, tree, _ in ingested],
-            [mode] * len(ingested),
-            span=span,
+            [tree for _, tree, _ in ingested], [mode] * len(ingested), span=span
         )
-        for (index, tree, resolved_format), outcome in zip(ingested, outcomes):
-            if isinstance(outcome, ServiceOverloadError):
-                results[index] = {"error": "overloaded", "message": str(outcome), "status": 429}
-            elif isinstance(outcome, ServiceTimeoutError):
-                results[index] = {"error": "timeout", "message": str(outcome), "status": 503}
-            elif isinstance(outcome, Exception):
-                results[index] = {"error": "narration", "message": str(outcome), "status": 400}
-            else:
-                item: dict[str, Any] = {
+        latency_ms = round((time.perf_counter() - started) * 1000.0, 3)
+        with span.child("finalize"):
+            for (index, tree, plan_format), outcome in zip(ingested, outcomes):
+                if isinstance(outcome, Exception):
+                    items[index] = error_item(outcome)
+                    continue
+                item = {
                     "narration": _narration_to_dict(outcome),
-                    "format": resolved_format,
+                    "format": plan_format,
                     "mode": mode,
+                    "latency_ms": latency_ms,
                 }
                 if presentation is not None:
-                    item["rendered"] = self.lantern.render(
-                        outcome, tree=tree, mode=presentation
-                    )
-                results[index] = item
+                    item["rendered"] = self.lantern.render(outcome, tree=tree, mode=presentation)
+                items[index] = item
+        return items
+
+    def routes(self) -> dict[tuple[str, str], Route]:
+        """The route table this process serves (the fleet worker adds its
+        ``/admin/*`` routes)."""
         return {
-            "results": results,
-            "count": len(plans),
-            "_telemetry": {"plan_format": None, "mode": mode},
+            ("POST", "/narrate"): Route(self._narrate, trace="POST /narrate"),
+            **observability_routes(self),
         }
 
-    # ------------------------------------------------------------------
-    # fleet hooks (LANTERN-FLEET worker wrapper overrides these)
-    # ------------------------------------------------------------------
+    def _narrate(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        body = request._read_body()
+        return narrate_response(request, body, self.narrate_items(body, request.span))
 
     def begin_drain(self) -> None:
         """Take this process out of rotation without dropping in-flight work.
@@ -375,22 +232,6 @@ class LanternService:
         are refused with 503 while already-queued narrations finish.
         """
         self.draining = True
-
-    def extra_post(
-        self, path: str, body: Optional[dict[str, Any]]
-    ) -> Optional[tuple[int, dict[str, Any]]]:
-        """Hook for additional POST endpoints (``(status, body)`` or None).
-
-        The base service serves none; the fleet worker wrapper adds its
-        ``/admin/*`` surface here without forking the HTTP handler.
-        """
-        return None
-
-    def extra_get(
-        self, path: str, query: dict[str, list[str]]
-    ) -> Optional[tuple[int, dict[str, Any]]]:
-        """Hook for additional GET endpoints (``(status, body)`` or None)."""
-        return None
 
     def metrics(self) -> dict[str, Any]:
         cache_stats = None
@@ -548,210 +389,10 @@ def _narration_to_dict(narration: Narration) -> dict[str, Any]:
     }
 
 
-def _make_handler(service: LanternService) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "LanternServe/1.0"
-        protocol_version = "HTTP/1.1"
-        # headers and body go out as separate small writes; with Nagle on,
-        # the body segment stalls behind the client's delayed ACK (~40 ms)
-        # on every kept-alive request
-        disable_nagle_algorithm = True
-
-        # -- plumbing ----------------------------------------------------
-
-        def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-            pass  # telemetry replaces access logs; stderr stays quiet
-
-        def _send_json(self, status: int, body: dict[str, Any]) -> None:
-            payload = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            if status == 429:
-                self.send_header("Retry-After", "1")
-            if self.close_connection:
-                # set when the request body was not (fully) read: the unread
-                # bytes would desync a kept-alive HTTP/1.1 stream, so tell
-                # the client this connection is done
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _read_body(self) -> dict[str, Any]:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length <= 0:
-                self.close_connection = True
-                raise _HTTPError(
-                    400, {"error": "bad_request", "message": "missing request body"}
-                )
-            if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                raise _HTTPError(
-                    413,
-                    {
-                        "error": "too_large",
-                        "message": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    },
-                )
-            raw = self.rfile.read(length)
-            try:
-                return json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise _HTTPError(
-                    400,
-                    {"error": "bad_request", "message": f"invalid JSON body: {error}"},
-                ) from error
-
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            payload = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def _respond_json(self, root: Span, status: int, body: dict[str, Any]) -> None:
-            """Send a JSON response under a ``respond`` span child."""
-            respond_started = time.perf_counter()
-            with root.child("respond", status=status):
-                self._send_json(status, body)
-                service.telemetry.record_stage(
-                    "respond", time.perf_counter() - respond_started
-                )
-
-        # -- endpoints ---------------------------------------------------
-
-        def do_POST(self) -> None:
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path != "/narrate":
-                self._handle_extra_post(path)
-                return
-            started = time.perf_counter()
-            plan_format = mode = None
-            # a fleet router propagates its request's trace id; adopting it
-            # keeps one id across the process boundary so the router can
-            # graft this worker's span tree onto its own
-            root = service.tracer.trace(
-                "POST /narrate", trace_id=self.headers.get("X-Lantern-Trace-Id")
-            )
-            with root:
-                try:
-                    with root.child("read_body"):
-                        body = self._read_body()
-                    if isinstance(body, dict) and "plans" in body and "plan" not in body:
-                        response = service.narrate_batch_payload(body, span=root)
-                    else:
-                        response = self.narrate(body, root)
-                    telemetry_tags = response.pop("_telemetry", {})
-                    plan_format = telemetry_tags.get("plan_format")
-                    mode = telemetry_tags.get("mode")
-                    status = 200
-                    if root:
-                        response["trace_id"] = root.trace_id
-                    self._respond_json(root, status, response)
-                except _HTTPError as error:
-                    status = error.status
-                    root.tag(error=error.body.get("error", "http_error"))
-                    self._respond_json(root, status, error.body)
-                except ReproError as error:
-                    status = 400
-                    self._respond_json(
-                        root, status, {"error": "narration", "message": str(error)}
-                    )
-                except Exception as error:  # noqa: BLE001 - last-resort 500
-                    status = 500
-                    self._respond_json(
-                        root,
-                        500,
-                        {"error": "internal", "message": f"{type(error).__name__}: {error}"},
-                    )
-                root.tag(status=status)
-            service.telemetry.record_request(
-                status,
-                time.perf_counter() - started,
-                plan_format=plan_format,
-                mode=mode,
-                endpoint="/narrate",
-            )
-
-        def narrate(self, body: dict[str, Any], span: Span = NOOP_SPAN) -> dict[str, Any]:
-            return service.narrate_payload(body, span=span)
-
-        def _handle_extra_post(self, path: str) -> None:
-            """Dispatch an unknown POST path through the service's extension
-            hook (the fleet worker's ``/admin/*`` surface), else 404."""
-            started = time.perf_counter()
-            status = 404
-            try:
-                length = int(self.headers.get("Content-Length", 0) or 0)
-                body = self._read_body() if length > 0 else None
-                result = service.extra_post(path, body)
-                if result is None:
-                    service.telemetry.record_request(404, 0.0, endpoint="other")
-                    self._send_json(404, {"error": "not_found", "message": self.path})
-                    return
-                status, payload = result
-                self._send_json(status, payload)
-            except _HTTPError as error:
-                status = error.status
-                self._send_json(status, error.body)
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                status = 500
-                self._send_json(
-                    500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-                )
-            service.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint=path
-            )
-
-        def do_GET(self) -> None:
-            started = time.perf_counter()
-            path, _, query_text = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            query = parse_qs(query_text)
-            status = 200
-            endpoint = path
-            try:
-                if path == "/metrics":
-                    if query.get("format", [""])[0] == "prometheus":
-                        self._send_text(
-                            200, service.prometheus_metrics(), PROMETHEUS_CONTENT_TYPE
-                        )
-                    else:
-                        self._send_json(200, service.metrics())
-                elif path == "/trace":
-                    limit = None
-                    if "limit" in query:
-                        try:
-                            limit = int(query["limit"][0])
-                        except ValueError:
-                            limit = None
-                    self._send_json(200, service.traces(limit))
-                elif path == "/healthz":
-                    health = service.healthz()
-                    # non-ok states answer 503 so load balancers and the
-                    # fleet router can act on the status code alone
-                    status = 200 if health["status"] == "ok" else 503
-                    self._send_json(status, health)
-                else:
-                    extra = service.extra_get(path, query)
-                    if extra is not None:
-                        status, payload = extra
-                        self._send_json(status, payload)
-                    else:
-                        status = 404
-                        endpoint = "other"
-                        self._send_json(404, {"error": "not_found", "message": self.path})
-            except Exception as error:  # noqa: BLE001 - last-resort 500
-                status = 500
-                self._send_json(
-                    500, {"error": "internal", "message": f"{type(error).__name__}: {error}"}
-                )
-            service.telemetry.record_request(
-                status, time.perf_counter() - started, endpoint=endpoint
-            )
-
-    return Handler
+def _make_handler(service: LanternService) -> type[FrontEnd]:
+    return make_front_end(
+        "LanternServe/1.0", service.routes(), service.telemetry, service.tracer
+    )
 
 
 def build_service(

@@ -357,6 +357,53 @@ class TestApiSurface:
         assert report.findings == []
         assert report.skipped_rules == ["api-surface (docs)"]
 
+    ROUTE_TABLE = {
+        "service/frontend.py": """
+            def base_routes(target):
+                return {("GET", "/metrics"): target.metrics}
+
+            class Worker:
+                def routes(self):
+                    return {
+                        ("POST", "/narrate"): self.narrate,
+                        **base_routes(self),
+                        ("POST", "/admin/shadow"): self.shadow,
+                        ("not", "a route"): None,
+                    }
+        """,
+    }
+
+    def test_route_table_keys_are_routes(self, tmp_path):
+        docs = {"api.md": "POST /narrate and GET /metrics\n"}
+        report = run_rules(tmp_path, self.ROUTE_TABLE, ["api-surface"], docs=docs)
+        assert {f.symbol for f in report.findings} == {"route:/admin/shadow"}
+        docs = {"api.md": "POST /narrate, GET /metrics, POST /admin/shadow\n"}
+        report = run_rules(tmp_path, self.ROUTE_TABLE, ["api-surface"], docs=docs)
+        assert report.findings == []
+
+    def test_live_repo_routes_are_all_seen(self):
+        """The rule must not go blind: it reads every route the live
+        service, fleet worker and router serve."""
+        from repro.analysis.engine import load_files
+        from repro.analysis.rules.api_surface import _route_literals
+
+        sources = load_files(REPO_ROOT / "src" / "repro")
+        routes = {
+            route
+            for source in sources
+            if source.rel.startswith("service/")
+            for route, _ in _route_literals(source)
+        }
+        assert routes == {
+            "/narrate",
+            "/metrics",
+            "/trace",
+            "/healthz",
+            "/admin/drain",
+            "/admin/cache",
+            "/admin/restart",
+        }
+
 
 # ---------------------------------------------------------------------------
 # engine mechanics

@@ -481,3 +481,52 @@ class TestFleetLifecycle:
         finally:
             client.close()
             fleet.stop()
+
+
+class TestFleetErrorContract:
+    """Through the router, a single plan and the same plan as a batch item
+    get the same status and error code — whether the router refuses it
+    (unparseable) or the worker does (parsed, but cannot be narrated)."""
+
+    @pytest.mark.parametrize(
+        "plan, error",
+        [
+            ({"Plan": {"Node Type": 5}}, "plan_format"),
+            (
+                {
+                    "source": "oracle",
+                    "root": {"name": "Seq Scan", "attributes": {}, "children": []},
+                },
+                "narration",
+            ),
+        ],
+    )
+    def test_single_and_batch_item_agree(self, live_fleet, plan, error):
+        _, client = live_fleet
+        status, single = client.request_json("POST", "/narrate", {"plan": plan})
+        envelope_status, envelope = client.request_json("POST", "/narrate", {"plans": [plan]})
+        assert envelope_status == 200
+        (item,) = envelope["results"]
+        assert status == item["status"] == 400
+        assert single["error"] == item["error"] == error
+        assert single["trace_id"]
+
+    def test_deeply_nested_body_is_a_bad_request(self, live_fleet):
+        import http.client
+        import json
+
+        fleet, client = live_fleet
+        host, port = fleet._httpd.server_address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request(
+                "POST", "/narrate", body=("[" * 50000 + "]" * 50000).encode("ascii"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            body = json.loads(response.read().decode("utf-8"))
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert body["error"] == "bad_request"
+        assert client.healthz()["status"] == "ok"

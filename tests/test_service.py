@@ -7,6 +7,7 @@ structured 400s; a full queue answers 429; and the shared decode cache keeps
 hitting under contention.
 """
 
+import json
 import threading
 import time
 
@@ -729,3 +730,156 @@ class TestTelemetry:
         assert snapshot["batching"]["avg_batch_size"] == 4
         assert snapshot["batching"]["queue_depth"] == 3
         assert snapshot["decode_cache"] == {"hits": 1}
+
+
+def _unknown_source_plan() -> dict:
+    """An operator-tree wire plan that parses but cannot be narrated (no
+    POEM catalog for its source)."""
+    return {
+        "source": "oracle",
+        "root": {"name": "Seq Scan", "attributes": {"relation": "a"}, "children": []},
+    }
+
+
+def _plan_outcome(client, plan, batch: bool) -> tuple[int, dict]:
+    """(status, error body) a client sees for one plan, sent alone or as the
+    only item of a batch (a batch refused whole reports the envelope)."""
+    body = {"plans": [plan]} if batch else {"plan": plan}
+    status, payload = client.request_json("POST", "/narrate", body)
+    if batch and status == 200:
+        (item,) = payload["results"]
+        return item.pop("status", 200), item
+    return status, payload
+
+
+class TestErrorContractParity:
+    """A single request and the same plan as a batch item answer with the
+    same status and error code: one pipeline, one error table."""
+
+    @pytest.mark.parametrize(
+        "plan, status, error",
+        [
+            ("EXPLAIN says no", 400, "plan_format"),
+            ({"Plan": {"Node Type": 5}}, 400, "plan_format"),
+            (_unknown_source_plan(), 400, "narration"),
+        ],
+    )
+    def test_bad_plans(self, rule_service, plan, status, error):
+        _, client = rule_service
+        single = _plan_outcome(client, plan, batch=False)
+        item = _plan_outcome(client, plan, batch=True)
+        assert single[0] == item[0] == status
+        assert single[1]["error"] == item[1]["error"] == error
+
+    def test_draining(self):
+        service = build_service(port=0)
+        host, port = service.start()
+        client = LanternClient(f"http://{host}:{port}")
+        try:
+            service.begin_drain()
+            plan = {"Plan": {"Node Type": "Seq Scan", "Relation Name": "author"}}
+            single = _plan_outcome(client, plan, batch=False)
+            item = _plan_outcome(client, plan, batch=True)
+            assert single[0] == item[0] == 503
+            assert single[1]["error"] == item[1]["error"] == "draining"
+        finally:
+            client.close()
+            service.stop()
+
+    def test_full_queue(self):
+        """Overload is a 429 with ``retry_after_s`` both ways, and the
+        single response also carries the ``Retry-After`` header."""
+        import http.client
+
+        service = build_service(port=0, max_batch_size=1, max_queue_depth=1)
+        gate = threading.Event()
+        entered = threading.Event()
+        original = service.lantern.describe_plans
+
+        def gated(*args, **kwargs):
+            entered.set()
+            gate.wait(timeout=10.0)
+            return original(*args, **kwargs)
+
+        service.lantern.describe_plans = gated
+        host, port = service.start()
+        client = LanternClient(f"http://{host}:{port}")
+        plan = {"Plan": {"Node Type": "Seq Scan", "Relation Name": "author"}}
+        blocked = [
+            threading.Thread(
+                target=lambda: LanternClient(f"http://{host}:{port}").request_json(
+                    "POST", "/narrate", {"plan": plan}
+                ),
+                daemon=True,
+            )
+            for _ in range(2)
+        ]
+        try:
+            blocked[0].start()
+            assert entered.wait(timeout=5.0), "request never reached the decode worker"
+            blocked[1].start()
+            deadline = time.monotonic() + 5.0
+            while service.batcher.queue_depth < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.batcher.queue_depth == 1  # the queue is now full
+
+            single = _plan_outcome(client, plan, batch=False)
+            item = _plan_outcome(client, plan, batch=True)
+            assert single[0] == item[0] == 429
+            assert single[1]["error"] == item[1]["error"] == "overloaded"
+            assert single[1]["retry_after_s"] == item[1]["retry_after_s"] == 1
+
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                connection.request(
+                    "POST", "/narrate", body=json.dumps({"plan": plan}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 429
+                assert response.getheader("Retry-After") == "1"
+            finally:
+                connection.close()
+        finally:
+            gate.set()
+            for thread in blocked:
+                thread.join(timeout=10.0)
+            service.lantern.describe_plans = original
+            client.close()
+            service.stop()
+
+    def test_batch_items_carry_the_single_response_fields(self, rule_service, payloads):
+        _, client = rule_service
+        single = client.narrate(payloads[0], presentation="document")
+        envelope = client.narrate_batch([payloads[0]], presentation="document")
+        (item,) = envelope["results"]
+        assert set(single) - {"trace_id"} == set(item)
+        assert set(item) == {"narration", "format", "mode", "latency_ms", "rendered"}
+
+
+def _post_raw(host: str, port: int, data: bytes) -> tuple[int, dict]:
+    import http.client
+
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request(
+            "POST", "/narrate", body=data, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
+#: a JSON body nested deeper than the decoder can recurse
+DEEP_BODY = ("[" * 50000 + "]" * 50000).encode("ascii")
+
+
+def test_deeply_nested_body_is_a_bad_request(rule_service):
+    service, client = rule_service
+    host, port = service._httpd.server_address
+    status, body = _post_raw(host, port, DEEP_BODY)
+    assert status == 400
+    assert body["error"] == "bad_request"
+    assert client.healthz()["status"] == "ok"
