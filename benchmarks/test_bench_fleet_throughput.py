@@ -148,10 +148,7 @@ def test_fleet_cache_affinity_and_throughput(benchmark, fleet_checkpoint):
             results["fleet_per_shard_hit_rate_min"] = min(hit_rates.values())
             results["fleet_per_shard_hit_rate"] = hit_rates
         # --- scale-out throughput: 4 workers vs one process ---------------
-        single = build_service(
-            lantern=Lantern.load(checkpoint), port=0, max_batch_size=64,
-            batch_window_s=0.002,
-        )
+        single = build_service(lantern=Lantern.load(checkpoint), port=0, max_batch_size=64)
         host, port = single.start()
         try:
             results["single_process_plans_per_s"], _ = _drive_http(
@@ -167,7 +164,6 @@ def test_fleet_cache_affinity_and_throughput(benchmark, fleet_checkpoint):
                 num_workers=THROUGHPUT_WORKERS,
                 checkpoint=checkpoint,
                 max_batch_size=64,
-                batch_window_ms=2.0,
                 snapshot_every=0,
             )
         ) as fleet:

@@ -8,9 +8,9 @@ measurements, both through the real serving components:
   stream through the :class:`~repro.service.batcher.MicroBatcher` exactly as
   the HTTP handlers drive it.  One-at-a-time serving (``max_batch_size=1``,
   one closed-loop client) is compared against micro-batched serving (32
-  concurrent submitters, 2 ms coalescing window) — the speedup here is the
-  architectural win of fusing concurrent requests into one batched decode,
-  and is asserted to stay ≥ 4×.
+  concurrent submitters joining one running decode) — the speedup here is
+  the architectural win of fusing concurrent requests into one batched
+  decode, and is asserted to stay ≥ 4×.
 * **HTTP end to end** at concurrency 8: a `ThreadingHTTPServer` on an
   ephemeral port with eight closed-loop urllib clients.  On a single box the
   clients, handler threads, and decode worker all share one GIL, so this
@@ -102,7 +102,6 @@ def _serve_through_batcher(
     trees,
     max_batch_size: int,
     concurrency: int,
-    batch_window_s: float = 0.0,
 ) -> tuple[float, dict]:
     """Closed-loop clients driving the real MicroBatcher; plans/sec + stats."""
     telemetry = ServiceTelemetry()
@@ -110,7 +109,6 @@ def _serve_through_batcher(
         lantern,
         BatcherConfig(
             max_batch_size=max_batch_size,
-            batch_window_s=batch_window_s,
             max_queue_depth=4096,
         ),
         telemetry,
@@ -135,7 +133,7 @@ def _serve_through_batcher(
 
 def _serve_over_http(lantern: Lantern, payloads, concurrency: int) -> float:
     """Closed-loop urllib clients against a live service; plans/sec."""
-    service = build_service(lantern=lantern, port=0, max_batch_size=64, batch_window_s=0.002)
+    service = build_service(lantern=lantern, port=0, max_batch_size=64)
     host, port = service.start()
     url = f"http://{host}:{port}"
     LanternClient(url).narrate(payloads[0], mode="neural")  # connection warm-up
@@ -186,7 +184,6 @@ def test_serve_throughput(benchmark, serving_setup):
                     trees,
                     max_batch_size=64,
                     concurrency=CORE_CONCURRENCY,
-                    batch_window_s=0.002,
                 )
                 for _ in range(2)
             ),
@@ -206,9 +203,7 @@ def test_serve_throughput(benchmark, serving_setup):
         )
         # keep-alive rung: same server, same client, only connection reuse
         # differs (best of two runs each, as above)
-        service = build_service(
-            lantern=lantern, port=0, max_batch_size=64, batch_window_s=0.002
-        )
+        service = build_service(lantern=lantern, port=0, max_batch_size=64)
         host, port = service.start()
         url = f"http://{host}:{port}"
         try:

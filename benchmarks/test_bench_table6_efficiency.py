@@ -30,6 +30,7 @@ The measured numbers plus the cache hit rate are written to
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -52,6 +53,8 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_table6.json"
 PAPER_HIDDEN = 256
 PAPER_ATTENTION = 128
 MIN_INT8_COLD_SPEEDUP = 1.5
+#: back-to-back warm/compiled pass pairs timed for the cache-bound rungs
+CACHE_TIER_PAIRS = 40
 
 
 def _timed_pass(neural, plans) -> float:
@@ -134,21 +137,16 @@ def test_table6_efficiency(benchmark, suite):
             neural.decode_cache.clear()
             for acts, steps in plans:
                 neural.translate_steps(acts, steps)
+            exported = neural.decode_cache.export_entries()
             neural.decode_cache.reset_counters()  # keep entries, measure warm lookups only
-            # best of three passes for the cache-bound rungs (both of them,
-            # identically): lookup costs are sub-microsecond, so a single
-            # pass mostly measures scheduler noise
-            timings["neural_lantern_avg_response_s"] = min(
-                _timed_pass(neural, plans) for _ in range(3)
-            )
+            _timed_pass(neural, plans)
             timings["decode_cache_hit_rate"] = neural.decode_cache.hit_rate
 
             # LANTERN-ZERO rung: the same signatures served from an
             # immutable compiled tier (sorted keys + bisect, zero matmuls)
-            # after the LRU entries are dropped — pre-decoding a workload
+            # with the LRU entries dropped — pre-decoding a workload
             # offline must not cost steady-state latency versus the warm
             # LRU it stands in for
-            exported = neural.decode_cache.export_entries()
             groups = {}
             for (tokens, beam_size, precision), candidates in exported:
                 groups.setdefault((beam_size, precision), []).append(
@@ -157,16 +155,38 @@ def test_table6_efficiency(benchmark, suite):
             (beam_size, precision), entries = max(
                 groups.items(), key=lambda group: len(group[1])
             )
-            neural.decode_cache.clear()
             neural.decode_cache.mount_compiled(
                 CompiledCache(entries, beam_size=beam_size, precision=precision)
             )
-            timings["neural_lantern_compiled_avg_response_s"] = min(
-                _timed_pass(neural, plans) for _ in range(3)
+            # the two cache-bound rungs differ by about 2%, while one pass
+            # varies by tens of percent with host load, so they are measured
+            # in PAIRS back-to-back pairs (order alternating) and compared
+            # pair by pair: the compiled time is the warm median scaled by
+            # the median per-pair ratio.  A warm pass refills the LRU, which
+            # answers before the compiled tier; a compiled pass empties it
+            warm_passes, compiled_passes = [], []
+            compiled_hits = 0
+
+            def warm_pass() -> None:
+                for key, candidates in exported:
+                    neural.decode_cache.put(key, candidates)
+                warm_passes.append(_timed_pass(neural, plans))
+
+            def compiled_pass() -> None:
+                nonlocal compiled_hits
+                neural.decode_cache.clear()
+                compiled_passes.append(_timed_pass(neural, plans))
+                compiled_hits += neural.decode_cache.stats()["compiled_hits"]
+
+            for pair in range(CACHE_TIER_PAIRS):
+                for run_pass in (warm_pass, compiled_pass)[:: 1 if pair % 2 else -1]:
+                    run_pass()
+            warm_median = statistics.median(warm_passes)
+            timings["neural_lantern_avg_response_s"] = warm_median
+            timings["neural_lantern_compiled_avg_response_s"] = warm_median * statistics.median(
+                compiled / warm for warm, compiled in zip(warm_passes, compiled_passes)
             )
-            timings["compiled_cache_hits"] = neural.decode_cache.stats()[
-                "compiled_hits"
-            ]
+            timings["compiled_cache_hits"] = compiled_hits
         finally:
             neural.decode_cache.unmount_compiled()
             neural.configure_cache(enabled=previously_enabled)
@@ -251,20 +271,21 @@ def test_int8_cold_decode_paper_scale():
         for _ in range(32)
     ]
 
-    def best_decode_seconds() -> float:
-        best = float("inf")
-        for _ in range(4):
-            started = time.perf_counter()
-            model.beam_decode_batch(sources, beam_size=4)
-            best = min(best, time.perf_counter() - started)
-        return best
+    def decode_seconds() -> float:
+        started = time.perf_counter()
+        model.beam_decode_batch(sources, beam_size=4)
+        return time.perf_counter() - started
 
-    float64_seconds = best_decode_seconds()
-    model.quantize("int8")
-    try:
-        int8_seconds = best_decode_seconds()
-    finally:
-        model.dequantize()
+    # best of six trials per precision, alternating, so a stretch of host
+    # load slows both sides alike
+    float64_seconds = int8_seconds = float("inf")
+    for _ in range(6):
+        float64_seconds = min(float64_seconds, decode_seconds())
+        model.quantize("int8")
+        try:
+            int8_seconds = min(int8_seconds, decode_seconds())
+        finally:
+            model.dequantize()
     speedup = float64_seconds / int8_seconds
     assert speedup >= MIN_INT8_COLD_SPEEDUP
 

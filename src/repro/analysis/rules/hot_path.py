@@ -30,7 +30,7 @@ from repro.analysis.rules import Rule
 
 #: file suffix → qualified symbols ("Class.method" or bare function name)
 HOT_PATHS: dict[str, tuple[str, ...]] = {
-    "nlg/seq2seq.py": ("QEP2Seq.beam_decode_batch",),
+    "nlg/seq2seq.py": ("QEP2Seq.beam_decode_batch", "_BeamSearch.join", "_BeamSearch.step"),
     "nlg/cache.py": ("DecodeCache.get", "DecodeCache.put"),
     "obs/tracing.py": ("Span.child", "Span.add_child_at", "TraceStore.add"),
     "service/fleet/router.py": ("LanternFleet._forward",),

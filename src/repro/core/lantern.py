@@ -11,9 +11,9 @@ boring the learner (the frequency-threshold policy of US 5).
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 from repro.core.acts import Act, align_acts_with_narration, decompose_lot_into_acts
 from repro.core.narration import Narration, NarrationStep
@@ -120,18 +120,39 @@ class _RuleMemo:
             }
 
 
+#: the streaming callback of :meth:`Lantern.describe_plans`: takes the results
+#: retired since its last call, returns the ``(tree, mode)`` pairs to admit
+PlanFeed = Callable[
+    [list[Union[Narration, Exception]]], Sequence[tuple[OperatorTree, str]]
+]
+
+#: the streaming callback of ``StepTranslator.translate_steps``: takes the
+#: texts finished since its last call, returns ``(acts, rule_steps)`` to admit
+#: (``None`` when nothing arrived)
+StepFeed = Callable[[list[str]], Optional[tuple[Sequence[Act], Sequence[NarrationStep]]]]
+
+#: a rule-narrated plan: its narration, its neural-bound ``(position, act,
+#: step)`` triples, and whether the neural assembly path applies
+_Prepared = tuple[Narration, list[tuple[int, Act, NarrationStep]], bool]
+
+
 class StepTranslator(Protocol):
     """What a neural generator must provide to plug into the facade.
 
-    ``translate_steps(acts, rule_steps) -> list[str]`` translates the
-    neural-bound steps of a whole batch of plans in one call.  Generators
+    ``translate_steps(acts, rule_steps, feed=None) -> list[str]`` translates
+    the neural-bound steps of a whole batch of plans in one call; with a
+    ``feed`` it streams, as :meth:`repro.nlg.neural_lantern.NeuralLantern.translate_steps`
+    describes.  Generators
     may additionally offer ``configure_cache(size=..., enabled=...)`` to
     receive the ``decode_cache_size`` / ``decode_cache_enabled`` knobs of
     :class:`LanternConfig`.
     """
 
     def translate_steps(
-        self, acts: Sequence[Act], rule_steps: Sequence[NarrationStep]
+        self,
+        acts: Sequence[Act],
+        rule_steps: Sequence[NarrationStep],
+        feed: Optional[StepFeed] = None,
     ) -> list[str]:  # pragma: no cover
         ...
 
@@ -257,11 +278,12 @@ class Lantern:
         trees: Sequence[OperatorTree],
         mode: Union[str, Sequence[str]] = MODE_RULE,
         collect_errors: bool = False,
+        feed: Optional[PlanFeed] = None,
     ) -> list[Union[Narration, Exception]]:
         """Narrate several operator trees with **one fused neural decode**.
 
-        The LANTERN-SERVE micro-batcher drives this with every request of a
-        batch, and :meth:`describe_plan` with a batch of one.  The
+        The LANTERN-SERVE micro-batcher drives this with every request in
+        flight, and :meth:`describe_plan` with a batch of one.  The
         neural-bound steps of every plan are concatenated (in request order)
         and translated through a single ``translate_steps`` call — one padded
         encoder forward and one fused beam tensor for the whole batch, with
@@ -275,48 +297,46 @@ class Lantern:
         With ``collect_errors=True`` a failing tree contributes its exception
         to the result list instead of aborting the batch (the serving layer
         maps those to per-request error responses).
+
+        With ``feed`` the call streams: more plans can arrive while the
+        decode runs.  At every decode step boundary it calls
+        ``feed(retired)`` with the results retired since the last call, and
+        the feed answers with ``(tree, mode)`` pairs to admit (empty when
+        none arrived).  A plan is admitted in arrival order — rule phase and
+        habituation recording — and its neural-bound acts join the running
+        decode; it retires strictly in arrival order, once all its steps are
+        translated.  Narrations and session state therefore equal those of
+        sequential :meth:`describe_plan` calls in arrival order.  The call
+        returns once nothing is in flight and the feed has nothing more;
+        results not handed to the feed are returned.
         """
         modes = [mode] * len(trees) if isinstance(mode, str) else list(mode)
         if len(modes) != len(trees):
             raise NarrationError(
                 f"describe_plans got {len(trees)} trees but {len(modes)} modes"
             )
-        prepared: list[
-            Union[tuple[Narration, list[tuple[int, Act, NarrationStep]], bool], Exception]
-        ] = []
-        for tree, tree_mode in zip(trees, modes):
-            try:
-                prepared.append(self._prepare_narration(tree, tree_mode))
-            except Exception as error:  # noqa: BLE001 - reported per request
-                if not collect_errors:
-                    raise
-                prepared.append(error)
-        # one fused decode across every neural-bound step of the batch
-        flat: list[tuple[int, Act, NarrationStep]] = []
-        for item in prepared:
-            if not isinstance(item, Exception):
-                flat.extend(item[1])
-        texts = self._translate_neural_steps(flat)
-        results: list[Union[Narration, Exception]] = []
-        cursor = 0
-        for item, tree_mode in zip(prepared, modes):
-            if isinstance(item, Exception):
-                results.append(item)
-                continue
-            narration, neural_bound, neural_path = item
-            if not neural_path:
-                results.append(narration)
-                continue
-            slice_texts = texts[cursor : cursor + len(neural_bound)]
-            cursor += len(neural_bound)
-            results.append(
-                self._assemble_neural(narration, neural_bound, slice_texts, tree_mode)
-            )
-        return results
+        run = _PlanRun(self, collect_errors)
+        acts, steps = run.admit(trees, modes)
+        if feed is None:
+            return run.finish(self.neural.translate_steps(acts, steps) if acts else [])
 
-    def _prepare_narration(
-        self, tree: OperatorTree, mode: str
-    ) -> tuple[Narration, list[tuple[int, Act, NarrationStep]], bool]:
+        def boundary(texts: list[str]) -> Optional[tuple[list[Act], list[NarrationStep]]]:
+            retired = run.retire(texts)
+            while True:
+                arrivals = feed(retired)
+                if not arrivals:
+                    return None
+                admitted = run.admit(
+                    [tree for tree, _ in arrivals], [tree_mode for _, tree_mode in arrivals]
+                )
+                if admitted[0]:
+                    return admitted
+                retired = run.retire([])
+
+        pending = (acts, steps) if acts else boundary([])
+        return run.finish(self.neural.translate_steps(*pending, feed=boundary) if pending else [])
+
+    def _prepare_narration(self, tree: OperatorTree, mode: str) -> _Prepared:
         """Rule-narrate ``tree`` and decide which steps go neural.
 
         Returns the rule narration, the neural-bound ``(position, act,
@@ -407,23 +427,6 @@ class Lantern:
         """Render a narration in the configured (or given) presentation mode."""
         return render(narration, tree=tree, mode=mode or self.config.presentation)
 
-    def _translate_neural_steps(
-        self, neural_bound: list[tuple[int, Act, NarrationStep]]
-    ) -> list[str]:
-        """Translate the collected neural-bound steps in one batched call."""
-        if not neural_bound:
-            return []
-        texts = self.neural.translate_steps(
-            [act for _, act, _ in neural_bound],
-            [step for _, _, step in neural_bound],
-        )
-        if len(texts) != len(neural_bound):
-            raise NarrationError(
-                "the neural generator's translate_steps returned "
-                f"{len(texts)} texts for {len(neural_bound)} steps"
-            )
-        return texts
-
     # ------------------------------------------------------------------
     # persistence (LANTERN-PERSIST)
     # ------------------------------------------------------------------
@@ -501,3 +504,73 @@ class Lantern:
                 self.store, poem_source=poem_source, seed=self.config.seed
             )
         return self._narrators[poem_source]
+
+
+
+class _PlanRun:
+    """The plans of one :meth:`Lantern.describe_plans` call that are admitted
+    but not yet retired, in arrival order, each with its translated steps."""
+
+    def __init__(self, lantern: Lantern, collect_errors: bool) -> None:
+        self.lantern = lantern
+        self.collect_errors = collect_errors
+        #: (prepared plan or its error, mode, texts translated so far)
+        self.plans: deque[tuple[Union[_Prepared, Exception], str, list[str]]] = deque()
+
+    def admit(
+        self, trees: Sequence[OperatorTree], modes: Sequence[str]
+    ) -> tuple[list[Act], list[NarrationStep]]:
+        """Rule-narrate and route each plan; returns their neural-bound acts
+        and rule steps, in order."""
+        acts: list[Act] = []
+        steps: list[NarrationStep] = []
+        for tree, mode in zip(trees, modes):
+            try:
+                prepared = self.lantern._prepare_narration(tree, mode)
+            except Exception as error:  # noqa: BLE001 - reported per request
+                if not self.collect_errors:
+                    raise
+                self.plans.append((error, mode, []))
+                continue
+            self.plans.append((prepared, mode, []))
+            for _, act, step in prepared[1]:
+                acts.append(act)
+                steps.append(step)
+        return acts, steps
+
+    def retire(self, texts: Sequence[str]) -> list[Union[Narration, Exception]]:
+        """Hand ``texts`` (the next translated steps, in order) to their
+        plans, then retire every complete plan at the head of the run."""
+        retired: list[Union[Narration, Exception]] = []
+        cursor = 0
+        while self.plans:
+            prepared, mode, done = self.plans[0]
+            if not isinstance(prepared, Exception):
+                narration, neural_bound, neural_path = prepared
+                taken = texts[cursor : cursor + len(neural_bound) - len(done)]
+                done.extend(taken)
+                cursor += len(taken)
+                if len(done) < len(neural_bound):
+                    break
+                if neural_path:
+                    prepared = self.lantern._assemble_neural(narration, neural_bound, done, mode)
+                else:
+                    prepared = narration
+            self.plans.popleft()
+            retired.append(prepared)
+        if cursor != len(texts):
+            raise NarrationError(
+                f"the neural generator's translate_steps returned {len(texts) - cursor} "
+                "texts more than there are steps"
+            )
+        return retired
+
+    def finish(self, texts: Sequence[str]) -> list[Union[Narration, Exception]]:
+        """The last :meth:`retire`: every plan must now be complete."""
+        retired = self.retire(texts)
+        if self.plans:
+            raise NarrationError(
+                "the neural generator's translate_steps returned fewer texts "
+                "than there are steps"
+            )
+        return retired

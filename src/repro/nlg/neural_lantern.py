@@ -13,7 +13,8 @@ bottleneck):
 * **Plan-level batching** — :meth:`NeuralLantern.translate_steps` translates
   every neural-bound act of a plan in one call, encoding all acts in a single
   padded encoder forward and decoding all their beams as one fused tensor
-  (:meth:`repro.nlg.seq2seq.QEP2Seq.beam_decode_batch`).
+  (:meth:`repro.nlg.seq2seq.QEP2Seq.beam_decode_batch`).  Streaming calls
+  let the acts of later plans join that decode between steps.
 * **Act-signature caching** — ranked beam candidates are memoized in an LRU
   :class:`repro.nlg.cache.DecodeCache` keyed on the tag-abstracted act token
   sequence.  Because the *entire ranked list* is cached, the exposure-based
@@ -23,10 +24,12 @@ bottleneck):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.acts import Act
+from repro.core.lantern import StepFeed
 from repro.core.narration import NarrationStep
 from repro.errors import NLGError
 from repro.nlg.cache import DEFAULT_CACHE_SIZE, DecodeCache, make_key
@@ -172,7 +175,10 @@ class NeuralLantern:
         return self.translate_steps([act], [rule_step])[0]
 
     def translate_steps(
-        self, acts: Sequence[Act], rule_steps: Sequence[NarrationStep]
+        self,
+        acts: Sequence[Act],
+        rule_steps: Sequence[NarrationStep],
+        feed: Optional[StepFeed] = None,
     ) -> list[str]:
         """The :class:`repro.core.lantern.StepTranslator` hook: translate
         all neural-bound acts of a batch in one call.
@@ -184,37 +190,39 @@ class NeuralLantern:
         and gets the concrete values (relations, conditions, identifiers) of
         its rule step restored, so the output text is identical to
         translating the steps one at a time.
+
+        With ``feed`` the call streams.  At every decode step boundary it
+        calls ``feed(texts)`` with the texts finished since the last call,
+        in act order, and the feed answers with more ``(acts, rule_steps)``
+        to admit, or ``None`` when none arrived.  Admitted acts are
+        looked up in the cache, deduplicated against signatures still in
+        flight, and the rest join the running decode.  Texts are picked
+        strictly in admission order, so wording cycles exactly as in
+        sequential calls.  Texts not handed to the feed are returned.
         """
-        if len(acts) != len(rule_steps):
-            raise NLGError("translate_steps needs one rule step per act")
         beam_size = self._effective_beam_size()
-        precision = self.model.precision
-        sources = [act.input_tokens() for act in acts]
-        keys = [make_key(source, beam_size, precision) for source in sources]
-        resolved: dict = {}
-        pending_keys: list = []
-        pending_sources: list[list[str]] = []
-        # every per-act signature is looked up through the cache, so the
-        # hit/miss counters reflect exactly the lookups the cache served:
-        # in-plan duplicates of a still-pending decode count as misses (they
-        # are served by the in-call dedup below, not by the cache)
-        for key, source in zip(keys, sources):
-            cached = self.decode_cache.get(key)
-            if cached is not None:
-                resolved[key] = cached
-            elif key not in resolved:
-                resolved[key] = None
-                pending_keys.append(key)
-                pending_sources.append(source)
-        if pending_sources:
-            decoded = self.model.beam_decode_batch(pending_sources, beam_size=beam_size)
-            for key, candidates in zip(pending_keys, decoded):
-                self.decode_cache.put(key, candidates)
-                resolved[key] = candidates
-        return [
-            self._finalize(self._pick_candidate(act, resolved[key]), rule_step)
-            for act, rule_step, key in zip(acts, rule_steps, keys)
-        ]
+        run = _Translation(self, beam_size)
+        sources = run.admit(acts, rule_steps)
+        if feed is None:
+            if sources:
+                run.absorb(enumerate(self.model.beam_decode_batch(sources, beam_size=beam_size)))
+            return run.pick()
+
+        def boundary(retired: list[tuple[int, list[list[str]]]]) -> list[list[str]]:
+            run.absorb(retired)
+            while True:
+                arrivals = feed(run.pick())
+                if arrivals is None:
+                    return []
+                joining = run.admit(*arrivals)
+                if joining:
+                    return joining
+
+        if not sources:
+            sources = boundary([])
+        if sources:
+            self.model.beam_decode_batch(sources, beam_size=beam_size, feed=boundary)
+        return run.pick()
 
     def _finalize(self, abstracted: str, rule_step: NarrationStep) -> str:
         """Restore concrete values into an abstracted sentence and punctuate."""
@@ -334,3 +342,79 @@ class NeuralLantern:
             else:
                 profile["several_wrong_tokens"] += 1
         return profile
+
+
+
+class _Translation:
+    """The acts of one :meth:`NeuralLantern.translate_steps` call that are
+    admitted but not yet translated, in admission order.
+
+    ``resolved`` maps each signature those acts need to its ranked
+    candidates, or to ``None`` while its decode is in flight; ``waiting``
+    counts the acts per signature, so an entry is dropped with its last act
+    and a streaming call holds only what is in flight.
+    """
+
+    def __init__(self, neural: NeuralLantern, beam_size: int) -> None:
+        self.neural = neural
+        self.beam_size = beam_size
+        self.precision = neural.model.precision
+        self.queue: deque[tuple[Act, NarrationStep, tuple]] = deque()
+        self.resolved: dict[tuple, Optional[list[list[str]]]] = {}
+        self.waiting: dict[tuple, int] = {}
+        self.decoding: dict[int, tuple] = {}
+        self.entered = 0
+
+    def admit(
+        self, acts: Sequence[Act], rule_steps: Sequence[NarrationStep]
+    ) -> list[list[str]]:
+        """Queue acts; returns the sources that need a decode, which the
+        search indexes from ``entered`` on."""
+        if len(acts) != len(rule_steps):
+            raise NLGError("translate_steps needs one rule step per act")
+        lookup = self.neural.decode_cache.get
+        resolved, waiting = self.resolved, self.waiting
+        sources: list[list[str]] = []
+        # every act is looked up through the cache, so the hit/miss counters
+        # reflect exactly the lookups the cache served: duplicates of a
+        # still-pending decode count as misses (they are served by the
+        # in-flight dedup, not by the cache)
+        for act, rule_step in zip(acts, rule_steps):
+            source = act.input_tokens()
+            key = make_key(source, self.beam_size, self.precision)
+            self.queue.append((act, rule_step, key))
+            waiting[key] = waiting.get(key, 0) + 1
+            cached = lookup(key)
+            if cached is not None:
+                resolved[key] = cached
+            elif key not in resolved:
+                resolved[key] = None
+                self.decoding[self.entered + len(sources)] = key
+                sources.append(source)
+        self.entered += len(sources)
+        return sources
+
+    def absorb(self, retired: Iterable[tuple[int, list[list[str]]]]) -> None:
+        """Take decoded candidates in: cache them and resolve their acts."""
+        for index, candidates in retired:
+            key = self.decoding.pop(index)
+            self.neural.decode_cache.put(key, candidates)
+            if key in self.waiting:
+                self.resolved[key] = candidates
+
+    def pick(self) -> list[str]:
+        """Translate the queue's resolved head, in admission order."""
+        texts: list[str] = []
+        neural, queue, resolved, waiting = self.neural, self.queue, self.resolved, self.waiting
+        while queue:
+            act, rule_step, key = queue[0]
+            candidates = resolved[key]
+            if candidates is None:
+                break
+            queue.popleft()
+            texts.append(neural._finalize(neural._pick_candidate(act, candidates), rule_step))
+            if waiting[key] > 1:
+                waiting[key] -= 1
+            else:
+                del waiting[key], resolved[key]
+        return texts

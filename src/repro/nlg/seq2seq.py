@@ -12,6 +12,8 @@ output-projection matmul per timestep (:meth:`QEP2Seq.beam_decode_candidates`).
 Across a plan, :meth:`QEP2Seq.beam_decode_batch` pads every act of the plan
 into one encoder forward and decodes all acts' beams as one fused tensor,
 which is what makes NEURAL-LANTERN response times interactive (Table 6).
+The search is also joinable: acts of requests that arrive while it runs
+enter it between steps, so concurrent narrations share decode steps.
 Both paths are guaranteed to emit token-for-token the same output as the
 unbatched reference decoder (kept as
 :meth:`QEP2Seq.beam_decode_candidates_sequential`); finished beams are simply
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -197,6 +199,7 @@ class QEP2Seq:
         # particular — never pay for Adam's moment buffers (3x the weight
         # bytes) or the flat-space parameter copy
         self._optimizer: SGD | Adam | None = None
+        self._decode_counters = {"steps": 0, "rows": 0, "joins": 0}
         if self.config.quantize != "none":
             self.quantize(self.config.quantize)
 
@@ -547,7 +550,10 @@ class QEP2Seq:
         return self.beam_decode_batch([source_tokens], beam_size=beam_size)[0]
 
     def beam_decode_batch(
-        self, sources: list[list[str]], beam_size: Optional[int] = None
+        self,
+        sources: list[list[str]],
+        beam_size: Optional[int] = None,
+        feed: Optional[DecodeFeed] = None,
     ) -> list[list[list[str]]]:
         """Decode many acts at once; returns one ranked candidate list per act.
 
@@ -556,102 +562,42 @@ class QEP2Seq:
         decoder step — M shrinks as beams finish and acts complete.  Output
         is token-for-token identical to calling
         :meth:`beam_decode_candidates_sequential` per act.
+
+        With ``feed`` the search is joinable.  After every step it calls
+        ``feed(retired)`` with the ``(index, candidates)`` of the acts that
+        finished at that step, and the feed answers with more acts to join
+        before the next step (an empty list when none arrived).  Acts are
+        indexed in the order they entered: ``sources`` first, then each
+        joined list in turn.  Every act counts its own steps against
+        ``max_decode_length`` and leaves as soon as its beams finish, so a
+        joiner decodes exactly as it would alone.  The search ends once no
+        act is live and the feed has nothing to add; with a feed every
+        result goes through it and the call returns an empty list.
         """
-        if not sources:
-            return []
-        beam_size = beam_size or self.config.beam_size
-        encoder_outputs, projected_encoder, mask, h0, c0 = self._encode_batch(sources)
-        end_id = self.output_vocabulary.end_id
-        bos_id = self.output_vocabulary.bos_id
-        count = len(sources)
-        # per act: (normalized score, score, token ids, h row, c row,
-        # finished).  The leading element carries score / max(len - 1, 1)
-        # precomputed, so beam ranking sorts on a C-level itemgetter rather
-        # than re-deriving the key through a Python lambda for every
-        # candidate on every timestep; the value is the exact float the
-        # sequential reference decoder's sort key computes, so ordering
-        # (ties included — both sorts are stable) is unchanged
-        beams_per_act: list[list[tuple[float, float, list[int], np.ndarray, np.ndarray, bool]]] = [
-            [(0.0, 0.0, [bos_id], h0[n], c0[n], False)] for n in range(count)
-        ]
-        by_normalized_score = itemgetter(0)
-        # encoder-side gathers are reused while the set of live rows is
-        # stable (it only changes when beams fork or finish), so the fancy
-        # indexing below is not repeated on every timestep
-        gathered_key: Optional[tuple[int, ...]] = None
-        gathered_outputs = gathered_projected = gathered_mask = None
-        for _ in range(self.config.max_decode_length):
-            rows = [
-                (n, b)
-                for n in range(count)
-                for b, beam in enumerate(beams_per_act[n])
-                if not beam[5]
-            ]
-            if not rows:
-                break
-            last_ids = np.array(
-                [beams_per_act[n][b][2][-1] for n, b in rows], dtype=np.int64
-            )
-            h_prev = np.stack([beams_per_act[n][b][3] for n, b in rows])
-            c_prev = np.stack([beams_per_act[n][b][4] for n, b in rows])
-            act_ids = tuple(n for n, _ in rows)
-            if act_ids != gathered_key:
-                indices = np.array(act_ids)
-                gathered_outputs = encoder_outputs[indices]
-                gathered_projected = projected_encoder[indices]
-                gathered_mask = mask[indices]
-                gathered_key = act_ids
-            embedded = self.decoder_embedding.lookup(last_ids)
-            new_h, new_c = self.decoder.step_infer(embedded, h_prev, c_prev)
-            context = self.attention.step_context(
-                new_h,
-                gathered_outputs,
-                gathered_projected,
-                mask=gathered_mask,
-            )
-            # sentry: off[hot-path] — one fused [h|context] concat per decode step, amortized over all live beams
-            logits = self.output_layer.forward_infer(np.concatenate([new_h, context], axis=1))
-            maxima = logits.max(axis=1, keepdims=True)
-            log_probabilities = logits - (
-                maxima + np.log(np.exp(logits - maxima).sum(axis=1, keepdims=True))
-            )
-            # top-k for ALL live rows in one vectorized call (row-for-row the
-            # same argpartition/argsort selection as _top_k_ascending), then
-            # one bulk tolist() — the per-row numpy calls and scalar float()
-            # extractions this replaces dominated decode time for small models
-            top_ids, top_scores = _top_k_ascending_rows(log_probabilities, beam_size)
-            row_index = {pair: m for m, pair in enumerate(rows)}
-            for n in sorted({n for n, _ in rows}):
-                candidates: list[
-                    tuple[float, float, list[int], np.ndarray, np.ndarray, bool]
-                ] = []
-                for b, beam in enumerate(beams_per_act[n]):
-                    _, score, tokens, beam_h, beam_c, finished = beam
-                    if finished:
-                        candidates.append(beam)
-                        continue
-                    m = row_index[(n, b)]
-                    for token_id, token_score in zip(top_ids[m], top_scores[m]):
-                        new_score = score + token_score
-                        new_tokens = tokens + [token_id]
-                        candidates.append(
-                            (
-                                new_score / max(len(new_tokens) - 1, 1),
-                                new_score,
-                                new_tokens,
-                                new_h[m],
-                                new_c[m],
-                                token_id == end_id,
-                            )
-                        )
-                candidates.sort(key=by_normalized_score, reverse=True)
-                beams_per_act[n] = candidates[:beam_size]
-        results: list[list[list[str]]] = []
-        for beams in beams_per_act:
-            ranked = sorted(beams, key=by_normalized_score, reverse=True)
-            decoded = [self.output_vocabulary.decode(tokens) for _, _, tokens, _, _, _ in ranked]
-            results.append([tokens for tokens in decoded if tokens] or [decoded[0] if decoded else []])
-        return results
+        search = _BeamSearch(self, beam_size or self.config.beam_size)
+        results: list[list[list[str]]] = [[] for _ in sources] if feed is None else []
+        pending = sources
+        while True:
+            retired = search.join(pending) if pending else []
+            if search.live:
+                retired += search.step()
+            if feed is None:
+                for index, candidates in retired:
+                    results[index] = candidates
+                if not search.live:
+                    return results
+                pending = []
+                continue
+            pending = feed(retired)
+            if pending:
+                self._decode_counters["joins"] += len(pending)
+            elif not search.live:
+                return results
+
+    def decode_stats(self) -> dict[str, int]:
+        """Decoder work since construction: fused steps taken, beam rows
+        they carried, and acts that joined a search already under way."""
+        return dict(self._decode_counters)
 
     def beam_decode_candidates_sequential(
         self, source_tokens: list[str], beam_size: Optional[int] = None
@@ -699,6 +645,180 @@ class QEP2Seq:
                 break
         ranked = sorted(beams, key=lambda item: item[0] / max(len(item[1]) - 1, 1), reverse=True)
         decoded = [self.output_vocabulary.decode(tokens) for _, tokens, _, _, _ in ranked]
+        return [tokens for tokens in decoded if tokens] or [decoded[0] if decoded else []]
+
+
+#: the joinable-search callback of :meth:`QEP2Seq.beam_decode_batch`: takes
+#: the ``(index, candidates)`` retired at a step, returns the acts to join
+DecodeFeed = Callable[[list[tuple[int, list[list[str]]]]], list[list[str]]]
+
+_BY_NORMALIZED_SCORE = itemgetter(0)
+
+
+class _ActBeams:
+    """One act's place in a :class:`_BeamSearch`.
+
+    ``beams`` holds ``(normalized score, score, token ids, state row,
+    finished)`` tuples, best first.  The leading element is score / max(len
+    - 1, 1), the exact float the sequential reference decoder sorts on, so
+    ranking sorts on a C-level itemgetter and ties break identically (both
+    sorts are stable).  The state row indexes the (h, c) matrices of the
+    search's last step, so one gather rebuilds the next step's state.
+    """
+
+    __slots__ = ("index", "row", "length", "steps", "beams")
+
+    def __init__(self, index: int, row: int, length: int, beams: list[tuple]) -> None:
+        self.index = index
+        self.row = row
+        self.length = length
+        self.steps = 0
+        self.beams = beams
+
+
+class _BeamSearch:
+    """The state of one joinable beam search (see
+    :meth:`QEP2Seq.beam_decode_batch`): the live acts, their encoder rows
+    padded to one width, and the decoder state of the last step."""
+
+    def __init__(self, model: QEP2Seq, beam_size: int) -> None:
+        self.model = model
+        self.beam_size = beam_size
+        self.max_steps = model.config.max_decode_length
+        self.end_id = model.output_vocabulary.end_id
+        self.live: list[_ActBeams] = []
+        self._entered = 0
+        self._outputs = self._projected = self._mask = None
+        self._state_h = self._state_c = None
+        # encoder-side gathers are reused while the set of live rows is
+        # stable (it only changes when beams fork or finish, or acts join),
+        # so the fancy indexing is not repeated on every step
+        self._gathered_key: Optional[tuple[int, ...]] = None
+        self._gathered: tuple = ()
+
+    def join(self, sources: list[list[str]]) -> list[tuple[int, list[list[str]]]]:
+        """Encode ``sources`` and add them to the search before its next
+        step.  The running acts' encoder rows are compacted to the live ones
+        and padded, with the joiners', to the longest live act; padded
+        positions are masked, so attention weighs them exactly 0."""
+        outputs, projected, mask, h0, c0 = self.model._encode_batch(sources)
+        lengths = np.count_nonzero(mask, axis=1).tolist()
+        kept = len(self.live)
+        if kept:
+            width = max(max(act.length for act in self.live), outputs.shape[1])
+            rows = [act.row for act in self.live]
+            outputs = self._pad_rows(self._outputs, rows, outputs, width)
+            projected = self._pad_rows(self._projected, rows, projected, width)
+            mask = self._pad_rows(self._mask, rows, mask, width)
+            states = self._state_h.shape[0]
+            self._state_h = np.concatenate([self._state_h, h0])
+            self._state_c = np.concatenate([self._state_c, c0])
+            for row, act in enumerate(self.live):
+                act.row = row
+        else:
+            states = 0
+            self._state_h, self._state_c = h0, c0
+        self._outputs, self._projected, self._mask = outputs, projected, mask
+        self._gathered_key = None
+        bos = [self.model.output_vocabulary.bos_id]
+        joined = [
+            _ActBeams(self._entered + n, kept + n, length, [(0.0, 0.0, bos, states + n, False)])
+            for n, length in enumerate(lengths)
+        ]
+        self._entered += len(sources)
+        if self.max_steps <= 0:
+            return [(act.index, self._ranked(act)) for act in joined]
+        self.live.extend(joined)
+        return []
+
+    @staticmethod
+    def _pad_rows(
+        running: np.ndarray, rows: list[int], joining: np.ndarray, width: int
+    ) -> np.ndarray:
+        """``running[rows]`` stacked over ``joining``, both zero-padded (or
+        cut) to ``width`` positions along axis 1."""
+        kept = len(rows)
+        cut = min(width, running.shape[1])
+        merged = np.zeros((kept + joining.shape[0], width) + joining.shape[2:], dtype=joining.dtype)
+        merged[:kept, :cut] = running[rows, :cut]
+        merged[kept:, : joining.shape[1]] = joining
+        return merged
+
+    def step(self) -> list[tuple[int, list[list[str]]]]:
+        """Advance every live beam of every live act by one token; returns
+        the ``(index, candidates)`` of the acts that finished."""
+        model = self.model
+        state_rows: list[int] = []
+        last_ids: list[int] = []
+        encoder_rows: list[int] = []
+        for act in self.live:
+            for beam in act.beams:
+                if not beam[4]:
+                    state_rows.append(beam[3])
+                    last_ids.append(beam[2][-1])
+                    encoder_rows.append(act.row)
+        key = tuple(encoder_rows)
+        if key != self._gathered_key:
+            self._gathered = (
+                self._outputs[encoder_rows],
+                self._projected[encoder_rows],
+                self._mask[encoder_rows],
+            )
+            self._gathered_key = key
+        outputs, projected, mask = self._gathered
+        embedded = model.decoder_embedding.lookup(np.array(last_ids, dtype=np.int64))
+        state_index = np.array(state_rows)
+        new_h, new_c = model.decoder.step_infer(
+            embedded, self._state_h[state_index], self._state_c[state_index]
+        )
+        context = model.attention.step_context(new_h, outputs, projected, mask=mask)
+        logits = model.output_layer.forward_infer(np.concatenate([new_h, context], axis=1))
+        maxima = logits.max(axis=1, keepdims=True)
+        log_probabilities = logits - (
+            maxima + np.log(np.exp(logits - maxima).sum(axis=1, keepdims=True))
+        )
+        # top-k for ALL live rows in one vectorized call (row-for-row the
+        # same argpartition/argsort selection as _top_k_ascending), then
+        # one bulk tolist() — the per-row numpy calls and scalar float()
+        # extractions this replaces dominated decode time for small models
+        top_ids, top_scores = _top_k_ascending_rows(log_probabilities, self.beam_size)
+        self._state_h, self._state_c = new_h, new_c
+        counters = model._decode_counters
+        counters["steps"] += 1
+        counters["rows"] += len(state_rows)
+        beam_size = self.beam_size
+        end_id = self.end_id
+        retired: list[tuple[int, list[list[str]]]] = []
+        still_live: list[_ActBeams] = []
+        m = 0
+        for act in self.live:
+            candidates: list[tuple] = []
+            for beam in act.beams:
+                if beam[4]:
+                    candidates.append(beam)
+                    continue
+                _, score, tokens, _, _ = beam
+                length = max(len(tokens), 1)
+                for token_id, token_score in zip(top_ids[m], top_scores[m]):
+                    new_score = score + token_score
+                    candidates.append(
+                        (new_score / length, new_score, tokens + [token_id], m, token_id == end_id)
+                    )
+                m += 1
+            candidates.sort(key=_BY_NORMALIZED_SCORE, reverse=True)
+            act.beams = candidates[:beam_size]
+            act.steps += 1
+            if act.steps >= self.max_steps or all(beam[4] for beam in act.beams):
+                retired.append((act.index, self._ranked(act)))
+            else:
+                still_live.append(act)
+        self.live = still_live
+        return retired
+
+    def _ranked(self, act: _ActBeams) -> list[list[str]]:
+        """The act's candidates, best first, with empty decodes dropped."""
+        ranked = sorted(act.beams, key=_BY_NORMALIZED_SCORE, reverse=True)
+        decoded = [self.model.output_vocabulary.decode(beam[2]) for beam in ranked]
         return [tokens for tokens in decoded if tokens] or [decoded[0] if decoded else []]
 
 
@@ -760,10 +880,11 @@ def _top_k_ascending_rows(
     lists in one bulk conversion — the batched beam search consumes them
     element-wise in Python anyway.
     """
+    rows = np.arange(values.shape[0])[:, None]
     if k >= values.shape[1]:
         top = np.argsort(values, axis=1)
-    else:
-        part = np.argpartition(values, -k, axis=1)[:, -k:]
-        order = np.argsort(np.take_along_axis(values, part, axis=1), axis=1)
-        top = np.take_along_axis(part, order, axis=1)
-    return top.tolist(), np.take_along_axis(values, top, axis=1).tolist()
+        return top.tolist(), values[rows, top].tolist()
+    part = np.argpartition(values, -k, axis=1)[:, -k:]
+    part_values = values[rows, part]
+    order = np.argsort(part_values, axis=1)
+    return part[rows, order].tolist(), part_values[rows, order].tolist()

@@ -38,7 +38,7 @@ DEFAULT_LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0,
 )
 
-#: batch-size buckets (requests per fused decode)
+#: batch-size buckets (requests sharing a fused decode)
 DEFAULT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 

@@ -7,9 +7,9 @@ The serving layer that exposes LANTERN to many clients at once:
   ``GET /trace``, ``GET /healthz``);
 * :mod:`repro.service.frontend` — the route-table HTTP front end and the
   one error-to-status table, shared by the service and the fleet router;
-* :mod:`repro.service.batcher` — the micro-batching request queue that
-  coalesces concurrent narrations into one fused neural decode per batch
-  window, with bounded-queue admission control;
+* :mod:`repro.service.batcher` — the micro-batching request queue whose
+  requests join the running neural decode at its next step, with
+  bounded-queue admission control;
 * :mod:`repro.service.telemetry` — live request/latency/batching/cache
   metrics behind ``/metrics``, backed by the LANTERN-SCOPE histograms in
   :mod:`repro.obs`;

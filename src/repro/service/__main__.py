@@ -65,13 +65,7 @@ def main(argv: list[str] | None = None) -> None:
         "under the decode cache; requires --checkpoint",
     )
     parser.add_argument(
-        "--max-batch-size", type=int, default=32, help="requests fused per decode"
-    )
-    parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="extra coalescing wait once a batch is non-empty (0 = drain-only)",
+        "--max-batch-size", type=int, default=32, help="requests in flight in the decode"
     )
     parser.add_argument(
         "--max-queue-depth", type=int, default=256, help="admission-control bound (429 beyond)"
@@ -127,7 +121,6 @@ def main(argv: list[str] | None = None) -> None:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch_size,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_queue_depth=args.max_queue_depth,
         tracing_enabled=not args.no_tracing,
         trace_log=args.trace_log,

@@ -1,25 +1,23 @@
-"""The micro-batching narration queue at the heart of LANTERN-SERVE.
+"""The streaming narration queue at the heart of LANTERN-SERVE.
 
 HTTP handler threads never touch the :class:`~repro.core.lantern.Lantern`
 directly: they :meth:`MicroBatcher.submit_many` parsed operator trees and
 block on per-request events.  A single worker thread drains the queue and
-drives :meth:`Lantern.describe_plans`, so
+drives one streaming :meth:`Lantern.describe_plans` run at a time, so
 
-* concurrent requests are **coalesced into one fused neural decode** per
-  batch (one padded encoder forward and one beam tensor for every
-  neural-bound act of every plan in the window — the cross-plan
-  generalization of PR 1's per-plan batching, including cross-plan act
-  deduplication through the decode cache), and
+* concurrent requests **share one fused neural decode**: a request that
+  queues while a beam search runs joins it at the next decode step (one
+  padded encoder forward for the joiners, then every live beam of every
+  request advances as one row of the same step), up to ``max_batch_size``
+  requests in flight, and each request is answered as soon as it retires;
 * the facade's mutable state (habituation counters, wording-cycle
   exposures, the POEM narrator cache) is only ever touched from one thread,
-  which is what makes batched narrations **token-identical** to sequential
+  and requests are admitted and retired in arrival order, which is what
+  makes streamed narrations **token-identical** to sequential
   ``describe_plan`` calls in arrival order.
 
-Batches form naturally: the worker takes the first waiting request, then
-drains whatever else queued while the previous batch was decoding (up to
-``max_batch_size``).  An optional ``batch_window_s`` adds a bounded wait to
-coalesce more aggressively under bursty-but-sparse traffic; the default of 0
-adds no latency to an idle service.
+A lone request adds no wait: the worker starts a run as soon as one is
+queued, and nothing it runs waits for companions.
 
 Admission control is a bounded queue: when ``max_queue_depth`` requests are
 already waiting, a submission gets
@@ -32,6 +30,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -45,12 +44,10 @@ from repro.service.telemetry import ServiceTelemetry
 
 @dataclass
 class BatcherConfig:
-    """Queueing and coalescing knobs."""
+    """Queueing knobs."""
 
-    #: largest number of requests fused into one describe_plans call
+    #: most requests in flight in the running decode at once
     max_batch_size: int = 32
-    #: extra time the worker waits to grow a non-empty batch (0 = drain-only)
-    batch_window_s: float = 0.0
     #: queued-request bound beyond which submissions are refused (HTTP 429)
     max_queue_depth: int = 256
     #: how long a submitter waits for its narration before giving up (503)
@@ -63,12 +60,13 @@ class _PendingRequest:
     Carries its request's span context across the thread boundary: the
     submitting handler owns the root span, the worker attaches completed
     ``queue_wait`` / ``batch_assembly`` / ``decode`` children to it from the
-    perf-counter timestamps stamped at enqueue and dequeue.
+    perf-counter timestamps stamped at enqueue, admission (dequeue), join
+    and retirement.
     """
 
     __slots__ = (
-        "tree", "mode", "event", "narration", "error",
-        "span", "enqueued_at", "dequeued_at", "answered_at",
+        "tree", "mode", "event", "narration", "error", "span", "enqueued_at",
+        "dequeued_at", "joined_at", "answered_at", "in_flight", "cache_at_join",
     )
 
     def __init__(self, tree: OperatorTree, mode: str, span: Span = NOOP_SPAN) -> None:
@@ -80,7 +78,11 @@ class _PendingRequest:
         self.span = span
         self.enqueued_at = time.perf_counter()
         self.dequeued_at = self.enqueued_at
+        self.joined_at = self.enqueued_at
         self.answered_at: Optional[float] = None
+        #: requests in flight in the decode right after this one joined it
+        self.in_flight = 0
+        self.cache_at_join = (0, 0)
 
 
 class MicroBatcher:
@@ -189,8 +191,9 @@ class MicroBatcher:
     ) -> list[Union[Narration, Exception]]:
         """Enqueue narrations back to back and wait for all of them.
 
-        An idle worker drains them into **one fused decode** (up to
-        ``max_batch_size``).  Per-request failures — admission refusals once
+        They join the worker's running decode together at its next step
+        (or start one), up to ``max_batch_size`` requests in flight.
+        Per-request failures — admission refusals once
         the queue fills, narration errors, timeouts — are returned *in
         place* as exceptions, mirroring ``describe_plans(collect_errors=
         True)``, so the serving layer answers each plan individually.  One
@@ -268,28 +271,28 @@ class MicroBatcher:
     # worker side
     # ------------------------------------------------------------------
 
-    def _collect_batch(self) -> list[_PendingRequest]:
-        """Block for the first request, then drain the natural batch."""
-        try:
-            first = self._queue.get(timeout=0.1)
-        except queue.Empty:
-            return []
-        first.dequeued_at = time.perf_counter()
-        batch = [first]
-        deadline = time.monotonic() + self.config.batch_window_s
-        while len(batch) < self.config.max_batch_size:
+    def _collect_batch(
+        self, room: Optional[int] = None, wait_s: float = 0.1
+    ) -> list[_PendingRequest]:
+        """Pull up to ``room`` queued requests (default ``max_batch_size``),
+        waiting at most ``wait_s`` for the first (0: only what is queued).
+
+        Requests already answered (failed fast by submit's liveness
+        re-check before a worker started) are dropped, not narrated again.
+        """
+        room = self.config.max_batch_size if room is None else room
+        batch: list[_PendingRequest] = []
+        while len(batch) < room:
             try:
-                request = self._queue.get_nowait()
+                if batch or wait_s <= 0:
+                    request = self._queue.get_nowait()
+                else:
+                    request = self._queue.get(timeout=wait_s)
             except queue.Empty:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    request = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
+                break
             request.dequeued_at = time.perf_counter()
-            batch.append(request)
+            if not request.event.is_set():
+                batch.append(request)
         return batch
 
     def _cache_counters(self) -> tuple[int, int]:
@@ -310,86 +313,112 @@ class MicroBatcher:
     def _run(self) -> None:
         while not (self._stopping.is_set() and self._queue.empty()):
             batch = self._collect_batch()
-            # requests already answered (failed fast by submit's liveness
-            # re-check before this worker started) must not be narrated again
-            batch = [request for request in batch if not request.event.is_set()]
-            if not batch:
-                continue
+            if batch:
+                self._narrate(batch)
+
+    def _narrate(self, batch: list[_PendingRequest]) -> None:
+        """One streaming ``describe_plans`` run, started by ``batch``.
+
+        At every decode step boundary the run answers the requests that
+        retired and pulls whatever queued meanwhile, without waiting and up
+        to ``max_batch_size`` requests in flight, into the running decode.
+        The run ends when nothing is in flight and the queue is empty.  A
+        decode exception fails every request in flight and counts as one
+        batch failure.
+        """
+        in_flight: deque[_PendingRequest] = deque()
+
+        def join(requests: list[_PendingRequest]) -> list[tuple[OperatorTree, str]]:
+            if not requests:
+                return []
+            joined_at = time.perf_counter()
+            cache_at_join = self._cache_counters()
+            in_flight.extend(requests)
             if self.telemetry is not None:
-                self.telemetry.record_batch(len(batch))
-                for request in batch:
+                self.telemetry.record_batch(len(requests), len(in_flight))
+            for request in requests:
+                request.joined_at = joined_at
+                request.in_flight = len(in_flight)
+                request.cache_at_join = cache_at_join
+                if self.telemetry is not None:
                     self.telemetry.record_stage(
                         "queue_wait", max(request.dequeued_at - request.enqueued_at, 0.0)
                     )
-            decode_start = time.perf_counter()
-            hits_before, misses_before = self._cache_counters()
-            try:
-                results = self.lantern.describe_plans(
-                    [request.tree for request in batch],
-                    mode=[request.mode for request in batch],
-                    collect_errors=True,
-                )
-            except Exception as error:  # noqa: BLE001 - fail the whole batch
-                decode_end = time.perf_counter()
-                if self.telemetry is not None:
-                    self.telemetry.record_batch_failure(error)
-                for request in batch:
-                    request.error = error
-                    self._attach_stage_spans(
-                        request, decode_start, decode_end, len(batch),
-                        0, 0, error=type(error).__name__,
-                    )
-                    request.answered_at = decode_end
-                    request.event.set()
-                continue
-            decode_end = time.perf_counter()
-            hits_after, misses_after = self._cache_counters()
-            if self.telemetry is not None:
-                for request in batch:
-                    self.telemetry.record_stage(
-                        "batch_assembly", max(decode_start - request.dequeued_at, 0.0)
-                    )
-                self.telemetry.record_stage("decode", decode_end - decode_start)
-            for request, result in zip(batch, results):
+                    self.telemetry.record_stage("batch_assembly", joined_at - request.dequeued_at)
+            return [(request.tree, request.mode) for request in requests]
+
+        def answer(results: list[Union[Narration, Exception]], error: Optional[str] = None) -> None:
+            if not results:
+                return
+            answered_at = time.perf_counter()
+            cache_now = self._cache_counters()
+            for result in results:
+                request = in_flight.popleft()
                 if isinstance(result, Exception):
                     request.error = result
                 else:
                     request.narration = result
-                self._attach_stage_spans(
-                    request, decode_start, decode_end, len(batch),
-                    hits_after - hits_before, misses_after - misses_before,
-                )
-                request.answered_at = decode_end
-                request.event.set()
+                self._finish(request, answered_at, cache_now, error)
+
+        def feed(retired: list[Union[Narration, Exception]]) -> list[tuple[OperatorTree, str]]:
+            answer(retired)
+            room = self.config.max_batch_size - len(in_flight)
+            return join(self._collect_batch(room, wait_s=0)) if room > 0 else []
+
+        arrivals = join(batch)
+        try:
+            leftovers = self.lantern.describe_plans(
+                [tree for tree, _ in arrivals],
+                mode=[mode for _, mode in arrivals],
+                collect_errors=True,
+                feed=feed,
+            )
+        except Exception as error:  # noqa: BLE001 - fail every request in flight
+            if self.telemetry is not None:
+                self.telemetry.record_batch_failure(error)
+            answer([error] * len(in_flight), type(error).__name__)
+            return
+        answer(leftovers)
+
+    def _finish(
+        self,
+        request: _PendingRequest,
+        answered_at: float,
+        cache_now: tuple[int, int],
+        error: Optional[str] = None,
+    ) -> None:
+        """Record a retired request's decode stage and wake its submitter."""
+        if self.telemetry is not None:
+            self.telemetry.record_stage("decode", answered_at - request.joined_at)
+        request.answered_at = answered_at
+        self._attach_stage_spans(request, cache_now, error)
+        request.event.set()
 
     def _attach_stage_spans(
         self,
         request: _PendingRequest,
-        decode_start: float,
-        decode_end: float,
-        batch_size: int,
-        cache_hits: int,
-        cache_misses: int,
+        cache_now: tuple[int, int],
         error: Optional[str] = None,
     ) -> None:
         """Attach the worker-side stage children to the request's root span.
 
         The root span lives on the submitting handler thread; these children
         are complete (explicit start/end timestamps), so attaching them here
-        never races the root's own lifecycle.
+        never races the root's own lifecycle.  The decode span's cache tags
+        count every lookup made while the request was in the decode.
         """
         span = request.span
         if not span:
             return
         span.add_child_at("queue_wait", request.enqueued_at, request.dequeued_at)
-        span.add_child_at("batch_assembly", request.dequeued_at, decode_start)
+        span.add_child_at("batch_assembly", request.dequeued_at, request.joined_at)
         decode_tags = {
-            "batch_size": batch_size,
+            "batch_size": request.in_flight,
             "mode": request.mode,
             "precision": self._decode_precision(),
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
+            "cache_hits": cache_now[0] - request.cache_at_join[0],
+            "cache_misses": cache_now[1] - request.cache_at_join[1],
         }
         if error is not None:
             decode_tags["error"] = error
-        span.add_child_at("decode", decode_start, decode_end, **decode_tags)
+        span.add_child_at("decode", request.joined_at, request.answered_at, **decode_tags)

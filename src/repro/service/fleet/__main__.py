@@ -44,7 +44,6 @@ def main(argv: Optional[list[str]] = None) -> None:
         help="virtual nodes per worker on the consistent-hash ring",
     )
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--batch-window-ms", type=float, default=0.0)
     parser.add_argument("--max-queue-depth", type=int, default=256)
     parser.add_argument(
         "--heartbeat-interval",
@@ -68,7 +67,6 @@ def main(argv: Optional[list[str]] = None) -> None:
         compiled_cache=args.compiled_cache,
         replicas=args.replicas,
         max_batch_size=args.max_batch_size,
-        batch_window_ms=args.batch_window_ms,
         max_queue_depth=args.max_queue_depth,
         heartbeat_interval_s=args.heartbeat_interval,
         tracing_enabled=not args.no_tracing,

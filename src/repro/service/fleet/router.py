@@ -98,7 +98,6 @@ class FleetConfig:
     replicas: int = DEFAULT_REPLICAS
     #: per-worker batcher knobs (forwarded to the worker CLI)
     max_batch_size: int = 32
-    batch_window_ms: float = 0.0
     max_queue_depth: int = 256
     worker_tracing: bool = True
     #: seconds to wait for a spawned worker's ready line before killing it
@@ -244,8 +243,6 @@ class LanternFleet:
             "0",
             "--max-batch-size",
             str(self.config.max_batch_size),
-            "--batch-window-ms",
-            str(self.config.batch_window_ms),
             "--max-queue-depth",
             str(self.config.max_queue_depth),
         ]

@@ -189,7 +189,6 @@ def main(argv: Optional[list[str]] = None) -> None:
         "--compiled-cache", metavar="FILE", help="mount this compiled narration cache"
     )
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--batch-window-ms", type=float, default=0.0)
     parser.add_argument("--max-queue-depth", type=int, default=256)
     parser.add_argument("--no-tracing", action="store_true")
     args = parser.parse_args(argv)
@@ -203,7 +202,6 @@ def main(argv: Optional[list[str]] = None) -> None:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch_size,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_queue_depth=args.max_queue_depth,
         tracing_enabled=not args.no_tracing,
     )

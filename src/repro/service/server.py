@@ -233,14 +233,24 @@ class LanternService:
         """
         self.draining = True
 
-    def metrics(self) -> dict[str, Any]:
-        cache_stats = None
+    def _neural_stats(self) -> tuple[Optional[dict], Optional[dict]]:
+        """The attached generator's decode-cache stats and its model's
+        decode counters (``None`` each when absent, e.g. rule-only)."""
         neural = self.lantern.neural
-        if neural is not None and hasattr(neural, "decode_cache"):
-            cache_stats = neural.decode_cache.stats()
+        cache = getattr(neural, "decode_cache", None)
+        model = getattr(neural, "model", None)
+        return (
+            cache.stats() if cache is not None else None,
+            model.decode_stats() if hasattr(model, "decode_stats") else None,
+        )
+
+    def metrics(self) -> dict[str, Any]:
+        cache_stats, decode_stats = self._neural_stats()
         document = self.telemetry.snapshot(
             decode_cache_stats=cache_stats, queue_depth=self.batcher.queue_depth
         )
+        if decode_stats is not None:
+            document["decode"] = decode_stats
         memo_stats = self.lantern.rule_memo_stats()
         if memo_stats is not None:
             document["rule_memo"] = memo_stats
@@ -255,12 +265,10 @@ class LanternService:
 
     def prometheus_metrics(self) -> str:
         """The ``GET /metrics?format=prometheus`` text document."""
-        cache_stats = None
-        neural = self.lantern.neural
-        if neural is not None and hasattr(neural, "decode_cache"):
-            cache_stats = neural.decode_cache.stats()
+        cache_stats, decode_stats = self._neural_stats()
         return self.telemetry.prometheus(
             decode_cache_stats=cache_stats,
+            decode_stats=decode_stats,
             rule_memo_stats=self.lantern.rule_memo_stats(),
             queue_depth=self.batcher.queue_depth,
             rss_bytes=_process_rss_bytes(),

@@ -43,6 +43,13 @@ __all__ = ["ServiceTelemetry", "percentile", "NARRATE_ENDPOINT"]
 #: the endpoint whose histogram feeds the headline latency percentiles
 NARRATE_ENDPOINT = "/narrate"
 
+#: the model's decode counters (``QEP2Seq.decode_stats``) and their help text
+_DECODE_COUNTERS = (
+    ("steps", "Fused beam-search steps taken by the decoder."),
+    ("rows", "Beam rows carried by those steps (rows per step = rows / steps)."),
+    ("joins", "Acts that joined a beam search already under way."),
+)
+
 
 class ServiceTelemetry:
     """Thread-safe aggregation of serving metrics."""
@@ -108,12 +115,16 @@ class ServiceTelemetry:
                 histogram = self._stages[stage] = Histogram(DEFAULT_LATENCY_BUCKETS)
             histogram.observe(seconds)
 
-    def record_batch(self, size: int) -> None:
-        """One micro-batch drained from the queue by the worker."""
+    def record_batch(self, size: int, in_flight: Optional[int] = None) -> None:
+        """``size`` queued requests joined the worker's decode together.
+
+        The batch-size histogram observes ``in_flight`` (default ``size``):
+        how many requests share the decode once they have joined it.
+        """
         with self._lock:
             self._batches_total += 1
             self._requests_batched += size
-            self._batch_sizes.observe(size)
+            self._batch_sizes.observe(size if in_flight is None else in_flight)
 
     def record_batch_failure(self, error: BaseException) -> None:
         """A whole-batch decode failure (the ``MicroBatcher._run`` except
@@ -185,6 +196,7 @@ class ServiceTelemetry:
         rule_memo_stats: Optional[dict] = None,
         queue_depth: int = 0,
         rss_bytes: Optional[int] = None,
+        decode_stats: Optional[dict] = None,
     ) -> str:
         """The ``GET /metrics?format=prometheus`` text exposition."""
         writer = PrometheusWriter()
@@ -217,7 +229,7 @@ class ServiceTelemetry:
             )
             writer.counter(
                 "batches_total",
-                "Micro-batches drained by the decode worker.",
+                "Batches of queued requests that joined the decode.",
                 [(None, self._batches_total)],
             )
             writer.counter(
@@ -228,13 +240,16 @@ class ServiceTelemetry:
             )
             writer.histogram(
                 "batch_size",
-                "Requests fused per micro-batch.",
+                "Requests sharing the decode when a batch joins it.",
                 [(None, self._batch_sizes)],
             )
             writer.gauge("queue_depth", "Narration requests waiting in the queue.", [(None, queue_depth)])
             writer.gauge("uptime_seconds", "Service uptime.", [(None, round(uptime, 3))])
         if rss_bytes is not None:
             writer.gauge("process_resident_bytes", "Resident set size.", [(None, rss_bytes)])
+        if decode_stats is not None:
+            for name, help_text in _DECODE_COUNTERS:
+                writer.counter(f"decode_{name}_total", help_text, [(None, decode_stats[name])])
         for prefix, stats in (("decode_cache", decode_cache_stats), ("rule_memo", rule_memo_stats)):
             if not stats:
                 continue

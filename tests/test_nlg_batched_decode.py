@@ -78,6 +78,104 @@ class TestBatchedBeamParity:
         assert tiny_model.beam_decode_batch([]) == []
 
 
+def _decode_with_join(model, first, second, offset, beam_size):
+    """Decode ``first`` through the joinable search, with ``second`` joining
+    after ``offset`` steps (0: both enter at the first boundary).  Returns
+    every act's candidates in entry order, and the number of feed calls."""
+    results: dict = {}
+    calls = []
+
+    def feed(retired):
+        results.update(retired)
+        calls.append(len(retired))
+        call = len(calls) - 1
+        return (list(first) if call == 0 else []) + (list(second) if call == offset else [])
+
+    assert model.beam_decode_batch([], beam_size=beam_size, feed=feed) == []
+    return [results[index] for index in range(len(first) + len(second))], len(calls)
+
+
+@pytest.fixture(scope="module", params=["none", "int8", "float16"])
+def precision_model(request) -> QEP2Seq:
+    """The tiny model's architecture at each inference precision."""
+    input_vocabulary = Vocabulary([f"op{i}" for i in range(10)] + ["<T>", "<F>", "<TN>"])
+    output_vocabulary = Vocabulary([f"word{i}" for i in range(24)])
+    return QEP2Seq(
+        input_vocabulary,
+        output_vocabulary,
+        Seq2SeqConfig(
+            hidden_dim=20, attention_dim=10, max_decode_length=14, seed=11,
+            quantize=request.param,
+        ),
+    )
+
+
+class TestJoinableSearch:
+    """Acts that join a running search decode exactly as they would alone."""
+
+    @pytest.mark.parametrize("long_act_joins", [True, False])
+    @pytest.mark.parametrize("beam_size", [1, 2, 4])
+    def test_join_at_every_step_offset(
+        self, precision_model, tiny_sources, beam_size, long_act_joins
+    ):
+        # one act is longer than every other: when it joins, the join widens
+        # the padded encoder rows; when it runs, a join keeps them wide and
+        # narrows them once it has left
+        long_act = [[f"op{i % 10}" for i in range(11)]]
+        first, second = tiny_sources[:4], tiny_sources[4:]
+        if long_act_joins:
+            second = second + long_act
+        else:
+            first = long_act + first
+        expected = [
+            precision_model.beam_decode_candidates_sequential(source, beam_size=beam_size)
+            for source in first + second
+        ]
+        _, first_calls = _decode_with_join(precision_model, first, [], -1, beam_size)
+        # offsets 0 .. the first group's last boundary, where nothing is
+        # live any more and the second group restarts the search
+        for offset in range(first_calls):
+            decoded, _ = _decode_with_join(precision_model, first, second, offset, beam_size)
+            assert decoded == expected, f"join after {offset} steps"
+
+    def test_feed_sees_each_act_retire_once(self, tiny_model, tiny_sources):
+        seen: list[int] = []
+        joined: list[bool] = []
+
+        def feed(retired):
+            seen.extend(index for index, _ in retired)
+            if seen and not joined:
+                joined.append(True)
+                return [tiny_sources[-1]]
+            return []
+
+        assert tiny_model.beam_decode_batch(tiny_sources, beam_size=2, feed=feed) == []
+        assert sorted(seen) == list(range(len(tiny_sources) + 1))
+
+    def test_decode_counters(self, tiny_sources):
+        model = QEP2Seq(
+            Vocabulary([f"op{i}" for i in range(10)] + ["<T>", "<F>", "<TN>"]),
+            Vocabulary([f"word{i}" for i in range(24)]),
+            Seq2SeqConfig(hidden_dim=8, attention_dim=4, max_decode_length=6, seed=3),
+        )
+        assert model.decode_stats() == {"steps": 0, "rows": 0, "joins": 0}
+        _decode_with_join(model, tiny_sources[:3], tiny_sources[3:5], 2, 2)
+        stats = model.decode_stats()
+        assert stats["joins"] == 5  # all five entered through the feed
+        assert 0 < stats["steps"] <= 2 * 6
+        assert stats["steps"] <= stats["rows"] <= 2 * 5 * stats["steps"]
+
+    @pytest.mark.parametrize("beam_size", [8, 30])
+    def test_wide_beams_match_sequential(self, tiny_model, tiny_sources, beam_size):
+        """The lean step at K = 8, and at K past the vocabulary (the full
+        argsort branch of the top-k)."""
+        batched = tiny_model.beam_decode_batch(tiny_sources, beam_size=beam_size)
+        assert batched == [
+            tiny_model.beam_decode_candidates_sequential(source, beam_size=beam_size)
+            for source in tiny_sources
+        ]
+
+
 class TestDecodeCache:
     def test_lru_eviction_and_counters(self):
         cache = DecodeCache(max_size=2)

@@ -287,6 +287,28 @@ class TestNeuralServing:
         assert cache_stats["hits"] > 0
 
 
+    def test_decode_counters_in_metrics(self, neural_service, payloads, trained_neural):
+        """``/metrics`` carries the decoder's steps, rows and joins, in JSON
+        and as Prometheus counters; a rule-only service reports none."""
+        from repro.obs import validate_exposition
+
+        _, client = neural_service
+        trained_neural.decode_cache.clear()
+        before = client.metrics()["decode"]
+        client.narrate(payloads[0], mode="neural")
+        decode = client.metrics()["decode"]
+        assert set(decode) == {"steps", "rows", "joins"}
+        assert decode["steps"] > before["steps"]
+        assert decode["rows"] - before["rows"] >= decode["steps"] - before["steps"]
+        text = client.prometheus_metrics()
+        validate_exposition(text)
+        for name in ("steps", "rows", "joins"):
+            assert f"lantern_decode_{name}_total " in text
+        rule_only = build_service(port=0)
+        assert "decode" not in rule_only.metrics()
+        assert "lantern_decode_steps_total" not in rule_only.prometheus_metrics()
+
+
 class _BlockingLantern:
     """Stands in for a Lantern whose narration blocks until released."""
 
@@ -294,7 +316,7 @@ class _BlockingLantern:
         self.release = threading.Event()
         self.calls = 0
 
-    def describe_plans(self, trees, mode, collect_errors=True):
+    def describe_plans(self, trees, mode, collect_errors=True, feed=None):
         self.calls += 1
         assert self.release.wait(timeout=30)
         return [Narration(steps=[]) for _ in trees]
@@ -690,7 +712,7 @@ class TestObservabilityEndpoints:
 
     def test_batch_failures_are_counted_by_error_class(self, payloads):
         class _ExplodingLantern(Lantern):
-            def describe_plans(self, trees, mode, collect_errors=True):
+            def describe_plans(self, trees, mode, collect_errors=True, feed=None):
                 raise RuntimeError("decoder fell over")
 
         service = build_service(lantern=_ExplodingLantern(), port=0)
