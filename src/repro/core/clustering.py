@@ -44,11 +44,6 @@ def cluster(tree: LanguageAnnotatedTree) -> list[ClusterPair]:
     return pairs
 
 
-def clustered_children(pairs: list[ClusterPair]) -> set[int]:
-    """Identities of LOT nodes that are the auxiliary member of some pair."""
-    return {id(pair.auxiliary) for pair in pairs}
-
-
 def pair_for_critical(pairs: list[ClusterPair], node: LotNode) -> ClusterPair | None:
     """The cluster pair whose critical member is ``node``, if any."""
     for pair in pairs:

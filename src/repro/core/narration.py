@@ -54,20 +54,8 @@ class Narration:
         return " ".join(step.text for step in self.steps)
 
     @property
-    def numbered_text(self) -> str:
-        return "\n".join(f"{step.index}. {step.text}" for step in self.steps)
-
-    @property
     def token_count(self) -> int:
         return sum(step.token_count for step in self.steps)
-
-    def step_for_operator(self, operator_name: str) -> Optional[NarrationStep]:
-        lowered = operator_name.lower()
-        for step in self.steps:
-            if any(lowered == name.lower() for name in step.operator_names):
-                return step
-        return None
-
 
 # Layer descriptions, kept as data so documentation/examples can introspect the
 # model rather than hard-coding strings.

@@ -126,9 +126,9 @@ class ModelConfigError(NLGError):
     """Inconsistent neural model configuration (shapes, missing embeddings)."""
 
 
+class CacheFormatError(NLGError):
+    """A decode-cache snapshot row is malformed (checkpoint or ``/admin/cache``)."""
+
+
 class WorkloadError(ReproError):
     """A workload/schema/data-generation request is invalid."""
-
-
-class StudyError(ReproError):
-    """A user-study simulation request is invalid."""

@@ -14,6 +14,10 @@ what keeps the anti-habituation behaviour alive: the generator cycles through
 the surviving beam alternatives on repeated exposures, and those alternatives
 survive a cache hit unchanged.
 
+Checkpoints and the fleet's ``/admin/cache`` snapshot the LRU tier through
+one codec, :meth:`DecodeCache.export_rows` / :meth:`DecodeCache.import_rows`,
+which is also the one place that decides what a valid cache entry is.
+
 Hit/miss counters are exposed (:attr:`DecodeCache.hits`,
 :attr:`DecodeCache.misses`, :meth:`DecodeCache.stats`) so benchmarks can
 report cache effectiveness alongside response times.
@@ -44,9 +48,9 @@ import json
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.errors import NLGError
+from repro.errors import CacheFormatError, NLGError
 
 #: default number of act signatures kept before LRU eviction
 DEFAULT_CACHE_SIZE = 256
@@ -77,6 +81,32 @@ def make_key(
     reduced-precision candidates never alias full-precision ones.
     """
     return (tuple(source_tokens), int(beam_size), str(precision))
+
+
+def _strings(value: Any, label: str) -> tuple[str, ...]:
+    """A decoded JSON list of ``str`` as a tuple.  Never ``str()``-coerced:
+    that turns a bare string into a list of characters."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise CacheFormatError(f"cache {label} must be a list of strings, got {value!r:.120}")
+    return tuple(value)
+
+
+def _candidates(value: Any) -> tuple[tuple[str, ...], ...]:
+    if not isinstance(value, list):
+        raise CacheFormatError(f"cache candidates must be a list of lists, got {value!r:.120}")
+    return tuple(_strings(candidate, "candidate") for candidate in value)
+
+
+def _decode_row(row: Any, legacy_precision: str) -> tuple[CacheKey, tuple[tuple[str, ...], ...]]:
+    """One ``[tokens, beam, precision, candidates]`` row → ``(key, candidates)``."""
+    if isinstance(row, list) and len(row) == 3:  # written before precision-aware keys
+        row = [row[0], row[1], legacy_precision, row[2]]
+    if not isinstance(row, list) or len(row) != 4:
+        raise CacheFormatError(f"not a [tokens, beam, precision, candidates] row: {row!r:.120}")
+    tokens, beam, precision, candidates = row
+    if type(beam) is not int or beam < 1 or not isinstance(precision, str):
+        raise CacheFormatError(f"a row needs an int beam >= 1 and a str precision: {row!r:.120}")
+    return (_strings(tokens, "tokens"), beam, precision), _candidates(candidates)
 
 
 class CompiledCache:
@@ -165,7 +195,7 @@ class CompiledCache:
             )
         try:
             entries = [
-                ([str(t) for t in tokens], [[str(t) for t in cand] for cand in candidates])
+                (_strings(tokens, "tokens"), _candidates(candidates))
                 for tokens, candidates in payload["entries"]
             ]
             return cls(
@@ -282,12 +312,37 @@ class DecodeCache:
     def export_entries(self) -> list[tuple[CacheKey, tuple[tuple[str, ...], ...]]]:
         """A point-in-time snapshot of the cached entries, LRU-oldest first.
 
-        LANTERN-PERSIST serializes this into checkpoints so a restarted
-        service boots with a warm cache; re-inserting the snapshot through
-        :meth:`put` in order reproduces the eviction order exactly.
+        Re-inserting the snapshot through :meth:`put` in order reproduces
+        the eviction order exactly.
         """
         with self._lock:
             return list(self._entries.items())
+
+    # -- snapshot codec ----------------------------------------------------
+
+    def export_rows(self) -> list[list[Any]]:
+        """:meth:`export_entries` as JSON-ready rows, LRU-oldest first:
+        ``[tokens, beam, precision, candidates]`` per entry."""
+        return [
+            [list(tokens), beam, precision, [list(candidate) for candidate in candidates]]
+            for (tokens, beam, precision), candidates in self.export_entries()
+        ]
+
+    def import_rows(self, rows: Any, legacy_precision: str) -> int:
+        """Store :meth:`export_rows` rows in order; returns the row count.
+
+        Every row is validated before any is stored: a malformed snapshot
+        raises :class:`~repro.errors.CacheFormatError` and leaves the cache
+        unchanged.  A legacy 3-field row ``[tokens, beam, candidates]`` is
+        keyed under ``legacy_precision`` (the importing model's).
+        """
+        if not isinstance(rows, list):
+            raise CacheFormatError(f"cache rows must be a list, got {rows!r:.120}")
+        decoded = [_decode_row(row, legacy_precision) for row in rows]
+        with self._lock:
+            for key, candidates in decoded:
+                self.put(key, candidates)
+        return len(decoded)
 
     def reset_counters(self) -> None:
         """Zero the hit/miss counters while keeping the cached entries.

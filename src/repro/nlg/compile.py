@@ -67,7 +67,7 @@ def compile_plans(lantern, trees) -> CompiledCache:
     try:
         lantern.describe_plans(trees, mode="neural")
         entries = [
-            (list(key_tokens), [list(candidate) for candidate in candidates])
+            (key_tokens, candidates)
             for (key_tokens, beam, key_precision), candidates in cache.export_entries()
             if beam == beam_size and key_precision == precision
         ]

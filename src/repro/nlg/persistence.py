@@ -22,7 +22,8 @@ A checkpoint is a directory holding two files:
 * ``manifest.json`` — a schema-versioned JSON document recording what kind
   of object was saved, the model/facade configuration, both vocabularies in
   id order, the serving state that must survive a restart (wording-cycle
-  exposures, habituation counters, optionally the warm decode cache), the
+  exposures, habituation counters, optionally the warm decode cache as
+  :meth:`~repro.nlg.cache.DecodeCache.export_rows` rows), the
   weight layout, and a SHA-256 digest of the weight file so corruption is
   detectable in either layout.
 
@@ -68,6 +69,7 @@ import numpy as np
 from repro.core.lantern import Lantern, LanternConfig
 from repro.core.rule_lantern import RuleLantern
 from repro.errors import (
+    CacheFormatError,
     CheckpointError,
     CheckpointFormatError,
     CheckpointIntegrityError,
@@ -75,7 +77,7 @@ from repro.errors import (
     PoolError,
     VocabularyError,
 )
-from repro.nlg.cache import DEFAULT_CACHE_SIZE, make_key
+from repro.nlg.cache import DEFAULT_CACHE_SIZE
 from repro.nlg.neural_lantern import NeuralLantern
 from repro.obs.tracing import default_tracer
 from repro.nlg.seq2seq import QEP2Seq, Seq2SeqConfig
@@ -236,19 +238,7 @@ def _neural_section(neural: NeuralLantern, include_cache: bool) -> dict[str, Any
         "cache": {
             "max_size": cache.max_size,
             "enabled": cache.enabled,
-            "entries": (
-                [
-                    [
-                        list(key_tokens),
-                        beam,
-                        precision,
-                        [list(tokens) for tokens in candidates],
-                    ]
-                    for (key_tokens, beam, precision), candidates in cache.export_entries()
-                ]
-                if include_cache
-                else None
-            ),
+            "entries": cache.export_rows() if include_cache else None,
         },
     }
 
@@ -344,11 +334,6 @@ def _sha256_file(path: Path) -> str:
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------
-
-
-def checkpoint_kind(path: PathLike) -> str:
-    """The kind recorded in a checkpoint's manifest (validates the header)."""
-    return _read_manifest(Path(path))["kind"]
 
 
 def load_qep2seq(path: PathLike, verify: bool = False) -> QEP2Seq:
@@ -679,25 +664,12 @@ def _restore_neural(
     neural._act_exposure = {
         str(key): _coerce_int(count, "act exposure") for key, count in exposure.items()
     }
-    # re-inserting the snapshot oldest-first reproduces the LRU order exactly
-    for entry in cache_spec.get("entries") or []:
-        try:
-            if len(entry) == 3:
-                # legacy (pre-precision) entry: decoded by the saved model
-                # itself, so its precision is the loaded model's
-                key_tokens, beam, candidates = entry
-                precision = model.precision
-            else:
-                key_tokens, beam, precision, candidates = entry
-            key = make_key(
-                [str(token) for token in key_tokens],
-                _coerce_int(beam, "beam size"),
-                str(precision),
-            )
-            value = [[str(token) for token in tokens] for tokens in candidates]
-        except (TypeError, ValueError) as error:
-            raise CheckpointFormatError(f"malformed cache entry: {entry!r}") from error
-        neural.decode_cache.put(key, value)
+    # legacy 3-field rows were decoded by the saved model itself, so their
+    # precision is the loaded model's
+    try:
+        neural.decode_cache.import_rows(cache_spec.get("entries") or [], model.precision)
+    except CacheFormatError as error:
+        raise CheckpointFormatError(f"malformed cache entry: {error}") from error
     return neural
 
 

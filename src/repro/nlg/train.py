@@ -89,7 +89,6 @@ def train_workload_lantern(
     early_stop_threshold: float | None = None,
     bucket_by_length: bool = False,
     dtype: str = "float64",
-    turbo: bool = True,
     verbose: bool = False,
     hooks: TrainerHooks | None = None,
 ):
@@ -126,7 +125,6 @@ def train_workload_lantern(
         batch_size=batch_size,
         seed=seed,
         dtype=dtype,
-        turbo=turbo,
     )
     model = QEP2Seq(dataset.input_vocabulary, dataset.output_vocabulary, config)
     with tracer.span("train", epochs=epochs, train_samples=len(train_samples)):
@@ -186,11 +184,6 @@ def _parser() -> argparse.ArgumentParser:
         choices=("float64", "float32"),
         default="float64",
         help="model dtype: float64 (exact reference parity) or float32 (~2x memory/bandwidth)",
-    )
-    parser.add_argument(
-        "--reference-path",
-        action="store_true",
-        help="train with the step-wise reference forward/backward instead of the fused turbo path",
     )
     parser.add_argument(
         "--kind",
@@ -272,7 +265,6 @@ def main(argv: list[str] | None = None) -> Path:
             early_stop_threshold=args.early_stop_threshold,
             bucket_by_length=args.bucket,
             dtype=args.dtype,
-            turbo=not args.reference_path,
             verbose=True,
             hooks=hooks,
         )

@@ -9,7 +9,7 @@ reach the relation, conditions, and keys without knowing the source dialect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 #: Normalized attribute keys available on every node (when applicable).
 ATTR_RELATION = "relation"
@@ -171,9 +171,6 @@ class OperatorTree:
             if node.relation and node.relation not in seen:
                 seen.append(node.relation)
         return seen
-
-    def map_nodes(self, function: Callable[[OperatorNode], Any]) -> list[Any]:
-        return [function(node) for node in self.walk()]
 
     # -- wire serialization --------------------------------------------------
 

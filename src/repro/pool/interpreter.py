@@ -20,7 +20,7 @@ from repro.pool.ast_nodes import (
     UpdateStatement,
     UpdateValue,
 )
-from repro.pool.parser import parse_pool, parse_pool_script
+from repro.pool.parser import parse_pool
 from repro.pool.poem import (
     PoemObject,
     PoemStore,
@@ -83,10 +83,6 @@ class PoolSession:
         if isinstance(parsed, UpdateStatement):
             return self._execute_update(parsed)
         raise PoolSemanticError(f"unsupported statement type {type(parsed).__name__}")
-
-    def execute_script(self, script: str) -> list:
-        """Execute a semicolon-separated sequence of statements."""
-        return [self.execute(statement) for statement in parse_pool_script(script)]
 
     @property
     def backing_database(self) -> Database:

@@ -38,8 +38,6 @@ _EXPORTS = {
     "READY_PREFIX": "worker",
     "WorkerService": "worker",
     "build_worker": "worker",
-    "export_cache_payload": "worker",
-    "import_cache_payload": "worker",
 }
 
 
@@ -69,7 +67,5 @@ __all__ = [
     "WorkerHandle",
     "WorkerService",
     "build_worker",
-    "export_cache_payload",
-    "import_cache_payload",
     "plan_routing_signature",
 ]

@@ -6,11 +6,15 @@ lifecycle with:
 
 * ``POST /admin/drain`` — flip to draining (``/healthz`` 503, narrations
   refused) while queued work finishes; the rolling-restart first step.
-* ``GET /admin/cache`` — export the decode cache as a JSON snapshot
-  (:meth:`repro.nlg.cache.DecodeCache.export_entries`), oldest→newest so a
+* ``GET /admin/cache`` — export the decode cache as ``{"entries": rows}``,
+  the rows of the one cache codec
+  (:meth:`repro.nlg.cache.DecodeCache.export_rows`), oldest→newest so a
   re-import reproduces the LRU order.
-* ``POST /admin/cache`` — import such a snapshot; how a cold successor
-  inherits its predecessor's warm entries during the cache-handoff.
+* ``POST /admin/cache`` — import such a snapshot
+  (:meth:`~repro.nlg.cache.DecodeCache.import_rows`, all-or-nothing: a
+  malformed row or a body that is not an object is a 400); how a cold
+  successor inherits its predecessor's warm entries during the
+  cache-handoff.
 
 ``python -m repro.service.fleet.worker`` runs one worker standalone.  The
 router spawns exactly this CLI: the worker binds an ephemeral port, then
@@ -37,75 +41,18 @@ import time
 from typing import Any, Optional
 
 from repro.core.lantern import Lantern
-from repro.errors import FleetError
+from repro.errors import FleetError, RequestError
 from repro.service.frontend import FrontEnd, Route
 from repro.service.server import DEFAULT_HOST, LanternService, ServiceConfig
 
 __all__ = [
     "WorkerService",
     "READY_PREFIX",
-    "export_cache_payload",
-    "import_cache_payload",
     "main",
 ]
 
 #: the stdout handshake line prefix the router waits for after spawning
 READY_PREFIX = "LANTERN-WORKER-READY "
-
-
-# ----------------------------------------------------------------------
-# cache snapshot wire format (shared by the HTTP surface and the tests)
-# ----------------------------------------------------------------------
-
-
-def export_cache_payload(service: LanternService) -> dict[str, Any]:
-    """The ``GET /admin/cache`` document: a JSON-safe decode-cache snapshot.
-
-    Entries are emitted oldest→newest (the exporter's order), so importing
-    them with sequential ``put`` calls reproduces the LRU eviction order on
-    the receiving side.
-    """
-    neural = service.lantern.neural
-    entries: list[list[Any]] = []
-    if neural is not None and hasattr(neural, "decode_cache"):
-        for (tokens, beam, precision), candidates in neural.decode_cache.export_entries():
-            entries.append(
-                [[list(tokens), beam, precision], [list(c) for c in candidates]]
-            )
-    payload: dict[str, Any] = {
-        "entries": entries,
-        "count": len(entries),
-        "neural_attached": neural is not None,
-    }
-    if service.config.instance_id is not None:
-        payload["worker_id"] = service.config.instance_id
-    return payload
-
-
-def import_cache_payload(
-    service: LanternService, body: Optional[dict[str, Any]]
-) -> dict[str, Any]:
-    """Apply a ``POST /admin/cache`` snapshot; returns the import summary."""
-    neural = service.lantern.neural
-    entries = (body or {}).get("entries", [])
-    imported = 0
-    if neural is not None and hasattr(neural, "decode_cache") and isinstance(entries, list):
-        cache = neural.decode_cache
-        for entry in entries:
-            try:
-                (tokens, beam, precision), candidates = entry
-                key = (tuple(tokens), int(beam), str(precision))
-                cache.put(key, [tuple(c) for c in candidates])
-                imported += 1
-            except (TypeError, ValueError):
-                continue  # skip malformed entries, keep the rest
-    summary: dict[str, Any] = {
-        "imported": imported,
-        "neural_attached": neural is not None,
-    }
-    if service.config.instance_id is not None:
-        summary["worker_id"] = service.config.instance_id
-    return summary
 
 
 class WorkerService(LanternService):
@@ -119,19 +66,34 @@ class WorkerService(LanternService):
             ("POST", "/admin/cache"): Route(self._import_cache),
         }
 
+    def _stamped(self, **response: Any) -> dict[str, Any]:
+        """An admin response, stamped with this worker's fleet identity."""
+        if self.config.instance_id is not None:
+            response["worker_id"] = self.config.instance_id
+        return response
+
     def _drain(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
         request._read_body(required=False)
         self.begin_drain()
-        response: dict[str, Any] = {"status": "draining"}
-        if self.config.instance_id is not None:
-            response["worker_id"] = self.config.instance_id
-        return 200, response
+        return 200, self._stamped(status="draining")
 
     def _export_cache(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
-        return 200, export_cache_payload(self)
+        cache = getattr(self.lantern.neural, "decode_cache", None)
+        entries = cache.export_rows() if cache is not None else []
+        return 200, self._stamped(
+            entries=entries, count=len(entries), neural_attached=self.lantern.neural is not None
+        )
 
     def _import_cache(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
-        return 200, import_cache_payload(self, request._read_body(required=False))
+        body = request._read_body(required=False)
+        if body is not None and not isinstance(body, dict):
+            raise RequestError("a cache snapshot must be a JSON object")
+        neural = self.lantern.neural
+        cache = getattr(neural, "decode_cache", None)
+        imported = 0
+        if cache is not None:  # a rule-only worker has no cache to fill
+            imported = cache.import_rows((body or {}).get("entries", []), neural.model.precision)
+        return 200, self._stamped(imported=imported, neural_attached=neural is not None)
 
 
 def build_worker(

@@ -23,6 +23,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from urllib.parse import parse_qs
 
 from repro.errors import (
+    CacheFormatError,
     PlanDetectionError,
     PlanFormatError,
     ReproError,
@@ -51,6 +52,7 @@ _ERROR_TABLE: tuple[tuple[type[ReproError], int, str], ...] = (
     (PlanDetectionError, 400, "plan_format"),
     (RequestTooLargeError, 413, "too_large"),
     (RequestError, 400, "bad_request"),
+    (CacheFormatError, 400, "bad_request"),
     (RouteNotFoundError, 404, "not_found"),
     (ServiceOverloadError, 429, "overloaded"),
     (ServiceDrainingError, 503, "draining"),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.sqlengine.ast_nodes import (
@@ -292,16 +292,3 @@ def is_equijoin(expression: Expression) -> bool:
     if not isinstance(expression, BinaryOp) or expression.operator != "=":
         return False
     return isinstance(expression.left, ColumnRef) and isinstance(expression.right, ColumnRef)
-
-
-def render_condition(expression: Optional[Expression]) -> str:
-    """Human-readable rendering of a predicate for EXPLAIN output."""
-    if expression is None:
-        return ""
-    return str(expression)
-
-
-def iter_expressions(expressions: Iterable[Expression]):
-    """Yield every node of every expression in ``expressions``."""
-    for expression in expressions:
-        yield from expression.walk()

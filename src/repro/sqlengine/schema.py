@@ -40,10 +40,6 @@ class TableSchema:
                 f"primary key columns {missing} not present in table {self.name!r}"
             )
 
-    @property
-    def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
-
     def column(self, name: str) -> Column:
         for column in self.columns:
             if column.name == name:

@@ -20,12 +20,6 @@ class DataType(enum.Enum):
     DATE = "date"
     BOOLEAN = "boolean"
 
-    @property
-    def is_numeric(self) -> bool:
-        """Whether values of this type order/compare numerically."""
-        return self in (DataType.INTEGER, DataType.FLOAT)
-
-
 _EPOCH = datetime.date(1970, 1, 1)
 
 

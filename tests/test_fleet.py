@@ -21,7 +21,8 @@ import pytest
 
 from repro.core import Lantern
 from repro.core.lantern import LanternConfig
-from repro.errors import ServiceError
+from repro.nlg.cache import DecodeCache
+from repro.errors import CacheFormatError, ServiceError
 from repro.plans.registry import default_registry
 from repro.service.client import LanternClient, LanternServiceError
 from repro.service.fleet import (
@@ -30,8 +31,6 @@ from repro.service.fleet import (
     LanternFleet,
     WorkerService,
     build_worker,
-    export_cache_payload,
-    import_cache_payload,
     plan_routing_signature,
 )
 from repro.service.server import ServiceConfig, build_service
@@ -266,6 +265,12 @@ class TestWorkerAdmin:
         status, summary = client.request_json("POST", "/admin/cache", {"entries": []})
         assert status == 200 and summary["imported"] == 0
 
+    @pytest.mark.parametrize("body", [[1], "x", 5])
+    def test_admin_cache_non_object_body_is_a_bad_request(self, worker, body):
+        _, client = worker
+        status, reply = client.request_json("POST", "/admin/cache", body)
+        assert (status, reply["error"]) == (400, "bad_request")
+
     def test_unknown_admin_paths_404(self, worker):
         _, client = worker
         assert client.request_json("POST", "/admin/bogus", {})[0] == 404
@@ -316,12 +321,44 @@ class TestCacheHandoff:
             trained_neural._act_exposure.clear()
             trained_neural._act_exposure.update(exposure_before)
 
-    def test_import_skips_malformed_entries(self):
-        service = build_worker("wB", port=0)  # rule-only: no cache to fill
-        summary = import_cache_payload(service, {"entries": [["bad"], 42]})
-        assert summary["imported"] == 0
-        exported = export_cache_payload(service)
-        assert exported["entries"] == []
+    def test_import_rejects_malformed_entries(self):
+        cache = DecodeCache()
+        cache.put((("seqscan",), 2, "float64:none"), [["rows", "are", "read"]])
+        before = cache.export_entries()
+        valid = [["hashjoin"], 2, "float64:none", [["rows", "are", "joined"]]]
+        with pytest.raises(CacheFormatError):
+            # the first row is valid: an import is all-or-nothing
+            cache.import_rows([valid, ["bad"], 42], "float64:none")
+        assert cache.export_entries() == before
+
+    @pytest.mark.parametrize("poison", ["xyz", [[1, 2]]], ids=["string", "int-tokens"])
+    def test_poisoned_snapshot_is_rejected_and_serving_unchanged(self, trained_neural, poison):
+        """Candidates that are not lists of strings once imported and then
+        narrated as ``"x. x. x."`` or failed with a 500; now the snapshot is
+        a 400 and the next narration is the one served before the POST."""
+        exposure_before = dict(trained_neural._act_exposure)
+        trained_neural._act_exposure.clear()
+        trained_neural.decode_cache.clear()
+        facade = Lantern(neural=trained_neural, config=LanternConfig(seed=None))
+        service = WorkerService(facade, config=ServiceConfig(port=0, instance_id="wP"))
+        host, port = service.start()
+        client = LanternClient(f"http://{host}:{port}")
+        try:
+            expected = client.narrate(_join_plan(), mode="neural")["narration"]
+            _, snapshot = client.request_json("GET", "/admin/cache")
+            exported = trained_neural.decode_cache.export_entries()
+            poisoned = [row[:3] + [poison] for row in snapshot["entries"]]
+            status, reply = client.request_json("POST", "/admin/cache", {"entries": poisoned})
+            assert (status, reply["error"]) == (400, "bad_request")
+            assert trained_neural.decode_cache.export_entries() == exported
+            trained_neural._act_exposure.clear()
+            assert client.narrate(_join_plan(), mode="neural")["narration"] == expected
+        finally:
+            client.close()
+            service.stop()
+            trained_neural.decode_cache.clear()
+            trained_neural._act_exposure.clear()
+            trained_neural._act_exposure.update(exposure_before)
 
 
 # ---------------------------------------------------------------------------
