@@ -13,10 +13,18 @@ curves and orderings are what the benches reproduce, not absolute values.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import pytest
+
+# the reference oracles (``tests/oracles/``) the benches compare against;
+# pytest puts ``tests/`` on the path only for the test modules themselves
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 from repro.core import Lantern
 from repro.nlg.dataset import TrainingDataset, build_dataset

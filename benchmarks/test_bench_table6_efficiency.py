@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 from conftest import print_table
+from oracles.seq2seq import beam_decode_candidates_sequential
 
 from repro.core.acts import align_acts_with_narration, decompose_lot_into_acts
 from repro.nlg.cache import CompiledCache
@@ -69,8 +70,8 @@ def _timed_pass(neural, plans) -> float:
 
 def _sequential_translate(neural, act, step) -> str:
     """The seed decoding path: one batch-1 decoder step per beam per timestep."""
-    candidates = neural.model.beam_decode_candidates_sequential(
-        act.input_tokens(), beam_size=neural.beam_size
+    candidates = beam_decode_candidates_sequential(
+        neural.model, act.input_tokens(), beam_size=neural.beam_size
     )
     candidates = [tokens for tokens in candidates if tokens]
     return neural._finalize(detokenize(candidates[0]), step)

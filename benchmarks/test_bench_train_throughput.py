@@ -7,10 +7,11 @@ Figure 6/7 curves, multi-workload experiments), and until this PR it still
 ran the step-wise seed pipeline.  Four rows, each one optimization layer of
 the TRAIN-TURBO overhaul:
 
-* ``reference`` — the kept step-wise path (``Seq2SeqConfig(turbo=False)``):
-  one decoder step + one attention call (with a redundant encoder
-  projection) per timestep, per-step cache objects, float64;
-* ``turbo`` — the fused path: hoisted input-side gate matmuls,
+* ``reference`` — the step-wise oracle (``StepwiseQEP2Seq`` from
+  ``tests/oracles/seq2seq.py``): one decoder step + one attention call
+  (with a redundant encoder projection) per timestep, per-step cache
+  objects, float64;
+* ``turbo`` — the shipped fused path: hoisted input-side gate matmuls,
   cross-timestep fused attention, structure-of-arrays BPTT caches;
 * ``turbo_buckets`` — plus the length-bucketed batch scheduler
   (``Trainer(bucket_by_length=True)``): batches stop paying padded-width
@@ -30,6 +31,7 @@ import time
 from pathlib import Path
 
 from conftest import print_table
+from oracles.seq2seq import StepwiseQEP2Seq
 
 from repro.nlg.dataset import build_dataset
 from repro.nlg.seq2seq import QEP2Seq, Seq2SeqConfig
@@ -49,11 +51,11 @@ ROUNDS = 2  # per-epoch seconds are the min over rounds (load-noise guard)
 MIN_SPEEDUP = 3.0
 
 VARIANTS = [
-    # (row key, turbo, bucket_by_length, dtype)
-    ("reference", False, False, "float64"),
-    ("turbo", True, False, "float64"),
-    ("turbo_buckets", True, True, "float64"),
-    ("turbo_buckets_float32", True, True, "float32"),
+    # (row key, model class, bucket_by_length, dtype)
+    ("reference", StepwiseQEP2Seq, False, "float64"),
+    ("turbo", QEP2Seq, False, "float64"),
+    ("turbo_buckets", QEP2Seq, True, "float64"),
+    ("turbo_buckets_float32", QEP2Seq, True, "float32"),
 ]
 
 
@@ -64,17 +66,16 @@ def test_train_turbo_throughput(benchmark):
     validation_samples = dataset.validation_samples[:VALIDATION_CAP]
     epoch_samples = len(train_samples) + len(validation_samples)
 
-    def train_epoch_seconds(turbo: bool, bucket: bool, dtype: str) -> float:
+    def train_epoch_seconds(model_class: type, bucket: bool, dtype: str) -> float:
         config = Seq2SeqConfig(
             hidden_dim=HIDDEN,
             attention_dim=ATTENTION,
             learning_rate=0.005,
             batch_size=BATCH,
             seed=9,
-            turbo=turbo,
             dtype=dtype,
         )
-        model = QEP2Seq(dataset.input_vocabulary, dataset.output_vocabulary, config)
+        model = model_class(dataset.input_vocabulary, dataset.output_vocabulary, config)
         trainer = Trainer(
             model, train_samples, validation_samples, seed=9, bucket_by_length=bucket
         )
@@ -87,8 +88,10 @@ def test_train_turbo_throughput(benchmark):
         # round-robin over the variants so machine-load spikes cannot bias
         # one row systematically
         for _ in range(ROUNDS):
-            for name, turbo, bucket, dtype in VARIANTS:
-                timings[name] = min(timings[name], train_epoch_seconds(turbo, bucket, dtype))
+            for name, model_class, bucket, dtype in VARIANTS:
+                timings[name] = min(
+                    timings[name], train_epoch_seconds(model_class, bucket, dtype)
+                )
         return timings
 
     timings = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -25,6 +25,10 @@ _SUPPRESS = re.compile(r"#\s*sentry:\s*off(?:\[([a-zA-Z0-9_,\- ]+)\])?")
 #: every rule name — the sentinel meaning "all rules" in a suppression set
 ALL = "*"
 
+#: the test-only package under ``tests/`` that holds the reference twins of
+#: the shipped fused kernels; it is read as oracles, not as test modules
+ORACLE_PACKAGE = "oracles"
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -139,10 +143,20 @@ class AnalysisContext:
         ]
 
     def test_texts(self) -> dict[str, str]:
-        """``{file name: text}`` for every test module (empty without tests/)."""
+        """``{file name: text}`` for every test module (empty without tests/).
+
+        The oracle package is not a test module and is left out.
+        """
         if self._test_texts is None:
-            self._test_texts = self._read_tree(self.tests_dir, "*.py")
+            self._test_texts = self._read_tree(
+                self.tests_dir, "*.py", exclude=ORACLE_PACKAGE
+            )
         return self._test_texts
+
+    def oracle_files(self) -> list[SourceFile]:
+        """The parsed modules of ``tests/oracles/`` (empty without it)."""
+        root = self.tests_dir / ORACLE_PACKAGE if self.tests_dir else None
+        return load_files(root) if root is not None and root.is_dir() else []
 
     def doc_texts(self) -> dict[str, str]:
         """``{file name: text}`` for every docs page (empty without docs/)."""
@@ -156,13 +170,16 @@ class AnalysisContext:
         return self._doc_texts
 
     @staticmethod
-    def _read_tree(root: Optional[Path], pattern: str) -> dict[str, str]:
+    def _read_tree(
+        root: Optional[Path], pattern: str, exclude: Optional[str] = None
+    ) -> dict[str, str]:
         if root is None:
             return {}
         return {
             path.name: path.read_text(encoding="utf-8")
             for path in sorted(root.rglob(pattern))
             if "__pycache__" not in path.parts
+            and (exclude is None or path.relative_to(root).parts[0] != exclude)
         }
 
 

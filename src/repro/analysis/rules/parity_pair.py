@@ -1,15 +1,18 @@
 """parity-pair: every fused/turbo kernel keeps a live, tested reference twin.
 
 The repro's optimization story (ROADMAP PRs 3-6) is "fast path + reference
-path + agreement test".  This rule makes the triangle structural:
+path + agreement test".  The fast paths ship; the reference twins live in
+the test-only oracle package ``tests/oracles/``.  This rule makes the
+triangle structural:
 
 * every ``*_fused``/``*_turbo`` symbol in ``nlg/nn/`` or ``nlg/seq2seq.py``
-  must resolve to a reference counterpart in the same scope — the base name
+  must resolve to a reference counterpart — the base name
   (``forward_fused`` → ``forward``) or ``<base>_reference``
-  (``_forward_turbo`` → ``_forward_reference``);
-* every *public* fused symbol must be exercised together with its twin by
-  at least one test module (private kernels are reached through config
-  flags, so their pairing is enforced at the call-site pair below);
+  (``_forward_turbo`` → ``_forward_reference``) — either in the same scope
+  or, for a method, as an oracle-package function whose first parameter is
+  annotated with the method's class (``def forward(lstm: LSTM, ...)``);
+* every fused symbol must be exercised together with its twin by at least
+  one test module (the oracle package itself does not count);
 * declared call-site pairs (batched beam decode vs. its sequential twin)
   get the same treatment even though neither name carries a suffix;
 * every quantize mode in ``nlg/nn/quant.py``'s ``QUANTIZE_MODES`` (except
@@ -53,6 +56,33 @@ def _scope_functions(scope: ast.AST) -> dict[str, ast.AST]:
     }
 
 
+def _annotated_class(annotation: Optional[ast.expr]) -> Optional[str]:
+    """The class name a parameter annotation names (``LSTM``,
+    ``lstm.LSTM`` or ``"LSTM"``), else None."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value.rsplit(".", 1)[-1]
+    return None
+
+
+def _oracle_twins(context: AnalysisContext) -> dict[str, set[str]]:
+    """Class name → names of the oracle-package functions whose first
+    parameter is annotated with that class."""
+    twins: dict[str, set[str]] = {}
+    for source in context.oracle_files():
+        for node in source.tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            parameters = node.args.posonlyargs + node.args.args
+            owner = _annotated_class(parameters[0].annotation) if parameters else None
+            if owner is not None:
+                twins.setdefault(owner, set()).add(node.name)
+    return twins
+
+
 class ParityPairRule(Rule):
     name = "parity-pair"
     description = (
@@ -66,12 +96,15 @@ class ParityPairRule(Rule):
             "nlg/seq2seq.py"
         )
         tests = context.test_texts()
+        oracles = _oracle_twins(context)
         for source in sources:
-            yield from self._check_scope(source, source.tree, None, tests)
+            yield from self._check_scope(source, source.tree, None, tests, set())
             for node in ast.walk(source.tree):
                 if isinstance(node, ast.ClassDef):
-                    yield from self._check_scope(source, node, node.name, tests)
-            yield from self._check_extra_pairs(source, tests)
+                    yield from self._check_scope(
+                        source, node, node.name, tests, oracles.get(node.name, set())
+                    )
+            yield from self._check_extra_pairs(source, tests, oracles)
         yield from self._check_quant_modes(context, tests)
 
     def _check_scope(
@@ -80,6 +113,7 @@ class ParityPairRule(Rule):
         scope: ast.AST,
         class_name: Optional[str],
         tests: dict[str, str],
+        oracle_twins: set[str],
     ) -> Iterator[Finding]:
         functions = _scope_functions(scope)
         for name, node in functions.items():
@@ -88,7 +122,12 @@ class ParityPairRule(Rule):
                 continue
             qual = f"{class_name}.{name}" if class_name else name
             reference = next(
-                (c for c in (base, base + "_reference") if c in functions), None
+                (
+                    c
+                    for c in (base, base + "_reference")
+                    if c in functions or c in oracle_twins
+                ),
+                None,
             )
             if reference is None:
                 yield Finding(
@@ -98,11 +137,12 @@ class ParityPairRule(Rule):
                     symbol=qual,
                     message=(
                         f"fused symbol {qual} has no reference counterpart "
-                        f"({base} or {base}_reference) in the same scope"
+                        f"({base} or {base}_reference) in the same scope or "
+                        "the oracle package"
                     ),
                 )
                 continue
-            if name.startswith("_") or not tests:
+            if not tests:
                 continue
             if not any(name in text and reference in text for text in tests.values()):
                 yield Finding(
@@ -117,7 +157,7 @@ class ParityPairRule(Rule):
                 )
 
     def _check_extra_pairs(
-        self, source: SourceFile, tests: dict[str, str]
+        self, source: SourceFile, tests: dict[str, str], oracles: dict[str, set[str]]
     ) -> Iterator[Finding]:
         for suffix, class_name, fast, reference in _EXTRA_PAIRS:
             if not (source.rel == suffix or source.rel.endswith("/" + suffix)):
@@ -135,7 +175,7 @@ class ParityPairRule(Rule):
             functions = _scope_functions(cls)
             if fast not in functions:
                 continue
-            if reference not in functions:
+            if reference not in functions and reference not in oracles.get(class_name, ()):
                 yield Finding(
                     rule=self.name,
                     path=source.rel,

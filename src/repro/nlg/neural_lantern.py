@@ -138,31 +138,14 @@ class NeuralLantern:
         """
         return self.beam_size or self.model.config.beam_size
 
-    def _ranked_candidates(self, source_tokens: list[str], beam_size: int) -> list[list[str]]:
-        """Cached ranked beam candidates for one act signature."""
-        key = make_key(source_tokens, beam_size, self.model.precision)
-        cached = self.decode_cache.get(key)
-        if cached is not None:
-            return cached
-        candidates = self.model.beam_decode_candidates(source_tokens, beam_size=beam_size)
-        self.decode_cache.put(key, candidates)
-        return candidates
-
     # ------------------------------------------------------------------
     # generation
     # ------------------------------------------------------------------
 
-    def generate_abstracted(self, act: Act) -> str:
-        """Decode the tag-abstracted sentence for one act.
-
-        When the same act structure recurs within a session, successive calls
-        cycle through the surviving beam hypotheses, so repeated operators are
-        described with varied wording (the anti-habituation behaviour of §6).
-        """
-        candidates = self._ranked_candidates(act.input_tokens(), self._effective_beam_size())
-        return self._pick_candidate(act, candidates)
-
     def _pick_candidate(self, act: Act, candidates: list[list[str]]) -> str:
+        """The abstracted sentence for this exposure of ``act``: repeated
+        exposures cycle through the surviving beam hypotheses, so recurring
+        operators get varied wording (the anti-habituation behaviour of §6)."""
         candidates = [tokens for tokens in candidates if tokens]
         if not candidates:
             raise NLGError("the decoder produced an empty description")

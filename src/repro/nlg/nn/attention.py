@@ -1,21 +1,21 @@
 """Additive (Bahdanau) attention with manual gradients (paper Equations 8–10).
 
-Two training-time implementations coexist:
+The layer ships one training path and one inference path:
 
-* :meth:`AdditiveAttention.forward` / :meth:`AdditiveAttention.backward` —
-  the kept per-decoder-step reference path (one :class:`AttentionCache` per
-  step);
 * :meth:`AdditiveAttention.forward_fused` /
-  :meth:`AdditiveAttention.backward_fused` — the turbo path: under teacher
+  :meth:`AdditiveAttention.backward_fused` — training.  Under teacher
   forcing the context vector never feeds back into the decoder recurrence,
   so attention for *all* decoder timesteps runs as one fused call producing
-  ``(B, T_dec, T_enc)`` weights and ``(B, T_dec, He)`` contexts.  This also
-  hoists ``project_encoder`` (the ``(B, T_enc, He) @ (He, A)`` matmul) out
-  of the per-step loop — the reference path recomputes it at every decoder
-  step, a redundancy inference already avoided via :meth:`step_context`.
+  ``(B, T_dec, T_enc)`` weights and ``(B, T_dec, He)`` contexts, with
+  ``project_encoder`` (the ``(B, T_enc, He) @ (He, A)`` matmul) computed
+  once per sequence.
+* :meth:`AdditiveAttention.step_context` — decoding: one decoder step for
+  every live beam, over an encoder projection computed once per act.
 
-Parity between the two paths is asserted to ``allclose(rtol=1e-9)`` on
-contexts, weights, and every gradient (``tests/test_nlg_train_turbo.py``).
+The per-decoder-step reference twin of the training path lives in the
+test-only oracle package ``tests/oracles/attention.py``;
+``tests/test_nlg_train_turbo.py`` asserts the two agree to
+``allclose(rtol=1e-9)`` on contexts, weights, and every gradient.
 """
 
 from __future__ import annotations
@@ -30,24 +30,11 @@ from repro.nlg.nn.layers import Parameter
 
 
 @dataclass
-class AttentionCache:
-    """Forward values reused in the backward pass for one decoding step."""
-
-    decoder_state: np.ndarray
-    encoder_states: np.ndarray
-    mask: Optional[np.ndarray]
-    scores_tanh: np.ndarray
-    weights: np.ndarray
-    context: np.ndarray
-
-
-@dataclass
 class AttentionSequenceCache:
     """Structure-of-arrays forward cache for one fused attention pass.
 
-    Covers all ``T_dec`` decoder states at once — the per-step
-    :class:`AttentionCache` list of the reference path collapses into a few
-    preallocated tensors read back as views on backward.
+    Covers all ``T_dec`` decoder states at once in a few tensors read back
+    as views on backward.
     """
 
     decoder_states: np.ndarray  # (B, Td, Hd)
@@ -89,9 +76,10 @@ class AdditiveAttention:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The shared additive-score / softmax / weighted-sum pipeline.
 
-        Both :meth:`forward` (training, with cache) and :meth:`step_context`
-        (decoding, cache-free) go through this single implementation, so the
-        two paths can never diverge numerically.  The weight overrides let
+        :meth:`step_context` (decoding) and the per-step reference oracle go
+        through this single implementation, and :meth:`forward_fused`
+        mirrors it row for row, so the paths can never diverge
+        numerically.  The weight overrides let
         inference substitute quantized replicas; ``None`` means the training
         weights.  Returns (context (B, He), weights (B, T),
         scores_tanh (B, T, A)).
@@ -108,30 +96,6 @@ class AdditiveAttention:
         weights = softmax(scores, axis=1)
         context = np.einsum("bt,bth->bh", weights, encoder_states)
         return context, weights, scores_tanh
-
-    def forward(
-        self,
-        decoder_state: np.ndarray,
-        encoder_states: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-        """Compute the context vector for one decoder step.
-
-        ``decoder_state`` (B, Hd); ``encoder_states`` (B, T, He); ``mask`` (B, T).
-        Returns (context (B, He), weights (B, T), cache).
-        """
-        context, weights, scores_tanh = self._score_and_mix(
-            decoder_state, encoder_states, self.project_encoder(encoder_states), mask
-        )
-        cache = AttentionCache(
-            decoder_state=decoder_state,
-            encoder_states=encoder_states,
-            mask=mask,
-            scores_tanh=scores_tanh,
-            weights=weights,
-            context=context,
-        )
-        return context, weights, cache
 
     def project_encoder(self, encoder_states: np.ndarray) -> np.ndarray:
         """Precompute ``W_h h_i`` for every encoder state, shape (B, T, A).
@@ -156,8 +120,8 @@ class AdditiveAttention:
     ) -> np.ndarray:
         """Inference-only context vector with a precomputed encoder projection.
 
-        The same :meth:`_score_and_mix` pipeline as :meth:`forward`, but it
-        builds no backward cache and skips the per-step encoder projection.
+        The :meth:`_score_and_mix` pipeline with no backward cache and no
+        per-step encoder projection.
         ``decoder_state`` (B, Hd), ``encoder_states`` / ``projected_encoder``
         (B, T, ·), ``mask`` (B, T).  Computes through the inference replicas
         (identical to the training weights when quantization is off).
@@ -255,41 +219,6 @@ class AdditiveAttention:
         grad_encoder += grad_pre_encoder @ self.weight_encoder.value.T
         grad_decoders = grad_pre_decoder @ self.weight_decoder.value.T
         return grad_decoders, grad_encoder
-
-    def backward(
-        self,
-        cache: AttentionCache,
-        grad_context: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Backward for one step.
-
-        Returns gradients w.r.t. the decoder state (B, Hd) and the encoder
-        states (B, T, He); parameter gradients are accumulated.
-        """
-        weights = cache.weights
-        encoder_states = cache.encoder_states
-
-        # context = sum_t weights_t * encoder_t
-        grad_weights = np.einsum("bh,bth->bt", grad_context, encoder_states)
-        grad_encoder = weights[:, :, None] * grad_context[:, None, :]
-
-        # softmax backward
-        dot = np.sum(grad_weights * weights, axis=1, keepdims=True)
-        grad_scores = weights * (grad_weights - dot)
-        if cache.mask is not None:
-            grad_scores = np.where(cache.mask > 0, grad_scores, 0.0)
-
-        # scores = tanh(...) @ v
-        grad_tanh = grad_scores[:, :, None] * self.score_vector.value[None, None, :]
-        self.score_vector.grad += np.einsum("bta,bt->a", cache.scores_tanh, grad_scores)
-        grad_pre = grad_tanh * (1.0 - cache.scores_tanh ** 2)  # (B, T, A)
-
-        # pre = encoder @ W_h + decoder @ W_s
-        self.weight_encoder.grad += np.einsum("bth,bta->ha", encoder_states, grad_pre)
-        self.weight_decoder.grad += cache.decoder_state.T @ grad_pre.sum(axis=1)
-        grad_encoder += grad_pre @ self.weight_encoder.value.T
-        grad_decoder = grad_pre.sum(axis=1) @ self.weight_decoder.value.T
-        return grad_decoder, grad_encoder
 
     def parameters(self) -> list[Parameter]:
         return [self.weight_decoder, self.weight_encoder, self.score_vector]

@@ -6,18 +6,11 @@ gates plus a candidate cell state, combined as
     c_t = i_t * tanh(U_c h_{t-1} + V_c x_t) + f_t * c_{t-1}
     h_t = o_t * tanh(c_t)
 
-Gates are computed as one fused affine transform for speed.  ``forward``
-processes a padded batch (with a mask); ``step`` processes a single time step
-and is used by the decoder at inference time.
+Gates are computed as one fused affine transform (:meth:`LSTM._gates`).
+The layer ships one training path and one inference path:
 
-Two training-time implementations coexist, the same reference/fast pairing
-the batched beam-search decoder uses:
-
-* :meth:`LSTM.forward` / :meth:`LSTM.backward` — the kept step-wise
-  reference path (one ``step`` / ``backward_step`` per timestep, an
-  :class:`LSTMStepCache` object per step);
-* :meth:`LSTM.forward_fused` / :meth:`LSTM.backward_fused` — the turbo
-  path: the input-side gate matmul ``x_t @ weight_x`` does not depend on
+* :meth:`LSTM.forward_fused` / :meth:`LSTM.backward_fused` — training.  The
+  input-side gate matmul ``x_t @ weight_x`` does not depend on
   ``h_{t-1}``, so it is hoisted out of the recurrence as one
   ``(B·T, D) @ (D, 4H)`` matmul; only ``h_prev @ weight_h`` stays per step.
   Forward values land in a preallocated structure-of-arrays
@@ -25,10 +18,15 @@ the batched beam-search decoder uses:
   backward pass accumulates ``d_pre`` into one ``(B, T, 4H)`` buffer so the
   ``weight_x`` / ``weight_h`` / input-gradient contractions become three
   batched matmuls after the reverse loop instead of three per step.
+* :meth:`LSTM.forward_infer` / :meth:`LSTM.step_infer` — decoding: the
+  encoder runs the whole act, the beam search one step at a time, neither
+  building backward caches.
 
-The fused path is the training default; parity with the reference path is
-asserted to ``allclose(rtol=1e-9)`` on values and every parameter gradient
-(``tests/test_nlg_train_turbo.py``).
+The step-wise reference twin of the training path (one ``step`` /
+``backward_step`` per timestep) lives in the test-only oracle package
+``tests/oracles/lstm.py``; ``tests/test_nlg_train_turbo.py`` asserts the
+two agree to ``allclose(rtol=1e-9)`` on values and every parameter
+gradient.
 """
 
 from __future__ import annotations
@@ -43,24 +41,10 @@ from repro.nlg.nn.layers import Parameter
 
 
 @dataclass
-class LSTMStepCache:
-    """Values saved during one forward step and reused by the backward pass."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    gates: np.ndarray  # (B, 4H) post-activation: [i, f, o, g]
-    c: np.ndarray
-    h: np.ndarray
-    mask: Optional[np.ndarray] = None
-
-
-@dataclass
 class LSTMSequenceCache:
     """Structure-of-arrays forward cache for one fused sequence.
 
-    Replaces the per-step :class:`LSTMStepCache` list of the reference path:
-    gates and states live in tensors preallocated once per sequence, written
+    Gates and states live in tensors preallocated once per sequence, written
     by slice on forward and read back as views on backward — no per-step
     ``np.concatenate`` (or any other) allocations inside the recurrence.
 
@@ -112,9 +96,10 @@ class LSTM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The shared gate equations: returns (h, c, i, f, o, g).
 
-        Both :meth:`step` (training, with cache) and :meth:`step_infer`
-        (decoding, cache-free) go through this single implementation, so the
-        two paths can never diverge numerically.  The weight overrides let
+        :meth:`step_infer`, :meth:`forward_infer` and the step-wise
+        reference oracle go through this single implementation, and
+        :meth:`forward_fused` mirrors it exactly, so the paths can never
+        diverge numerically.  The weight overrides let
         the inference paths substitute quantized replicas without forking
         the math; ``None`` means the training weights.
         """
@@ -138,25 +123,6 @@ class LSTM:
         h = o * np.tanh(c)
         return h, c, i, f, o, g
 
-    def step(
-        self,
-        x: np.ndarray,
-        h_prev: np.ndarray,
-        c_prev: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray, LSTMStepCache]:
-        """One time step for a batch: returns (h, c, cache)."""
-        h, c, i, f, o, g = self._gates(x, h_prev, c_prev)
-        if mask is not None:
-            keep = mask[:, None]
-            h = keep * h + (1.0 - keep) * h_prev
-            c = keep * c + (1.0 - keep) * c_prev
-        cache = LSTMStepCache(
-            x=x, h_prev=h_prev, c_prev=c_prev,
-            gates=np.concatenate([i, f, o, g], axis=1), c=c, h=h, mask=mask,
-        )
-        return h, c, cache
-
     def step_infer(
         self,
         x: np.ndarray,
@@ -165,9 +131,8 @@ class LSTM:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One inference-only time step: (h, c) without a backward cache.
 
-        The same :meth:`_gates` math as :meth:`step` but no
-        :class:`LSTMStepCache` allocation — this is what the batched
-        beam-search decoder calls once per timestep for all live beams at
+        The :meth:`_gates` math with no cache allocation — this is what the
+        batched beam-search decoder calls once per timestep for all live beams at
         once (a ``(K, H)`` state matrix instead of K batch-1 calls).
         Computes through the (possibly quantized) inference replicas, which
         are the training weights themselves when no quantization is active.
@@ -191,10 +156,9 @@ class LSTM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run the full sequence inference-only: no backward caches.
 
-        Same per-step math and mask arithmetic as :meth:`forward` (so the
-        two are bit-identical when no quantization replica is attached) but
-        through ``infer_value`` weights and without building
-        :class:`LSTMStepCache` objects — the encoder's decode-time path.
+        One :meth:`_gates` call per timestep with the same mask arithmetic
+        as :meth:`forward_fused`, through ``infer_value`` weights and
+        without building caches — the encoder's decode-time path.
         """
         batch, steps, _ = inputs.shape
         weight_x = self.weight_x.infer_value
@@ -217,31 +181,6 @@ class LSTM:
             outputs[:, t, :] = h
         return outputs, h, c
 
-    def forward(
-        self,
-        inputs: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-        h0: Optional[np.ndarray] = None,
-        c0: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[LSTMStepCache]]:
-        """Run the full sequence.
-
-        ``inputs`` has shape (B, T, D); ``mask`` (B, T) with 1 for real tokens.
-        Returns hidden states (B, T, H), final h, final c, and per-step caches.
-        """
-        batch, steps, _ = inputs.shape
-        dtype = self.weight_x.value.dtype
-        h = np.zeros((batch, self.hidden_dim), dtype=dtype) if h0 is None else h0.copy()
-        c = np.zeros((batch, self.hidden_dim), dtype=dtype) if c0 is None else c0.copy()
-        outputs = np.zeros((batch, steps, self.hidden_dim), dtype=dtype)
-        caches: list[LSTMStepCache] = []
-        for t in range(steps):
-            step_mask = mask[:, t] if mask is not None else None
-            h, c, cache = self.step(inputs[:, t, :], h, c, mask=step_mask)
-            outputs[:, t, :] = h
-            caches.append(cache)
-        return outputs, h, c, caches
-
     def forward_fused(
         self,
         inputs: np.ndarray,
@@ -251,9 +190,9 @@ class LSTM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, LSTMSequenceCache]:
         """Run the full sequence with the input-side gate matmul hoisted.
 
-        Same signature semantics as :meth:`forward` but returns an
-        :class:`LSTMSequenceCache` instead of a per-step cache list.
-        ``x_t @ weight_x`` is independent of ``h_{t-1}``, so it is computed
+        ``inputs`` has shape (B, T, D); ``mask`` (B, T) with 1 for real
+        tokens.  Returns hidden states (B, T, H), final h, final c, and the
+        :class:`LSTMSequenceCache` for :meth:`backward_fused`.  ``x_t @ weight_x`` is independent of ``h_{t-1}``, so it is computed
         for all timesteps in one ``(B·T, D) @ (D, 4H)`` matmul before the
         sequential loop; only ``h_prev @ weight_h`` remains per step.  The
         per-step math (including the bias addition order and the mask
@@ -324,11 +263,14 @@ class LSTM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backward through a :meth:`forward_fused` sequence.
 
-        Mirrors :meth:`backward` but accumulates the gate pre-activation
-        gradients into one preallocated ``(B, T, 4H)`` buffer and performs
-        the ``weight_x.grad`` / ``weight_h.grad`` / input-gradient
-        contractions as single batched matmuls after the reverse loop,
-        instead of three matmuls per step.  Only the recurrent
+        ``grad_outputs`` (B, T, H) is the gradient flowing into each
+        per-step hidden state.  Returns the gradients w.r.t. the inputs
+        (B, T, D) and the initial hidden/cell states; parameter gradients
+        are accumulated.  The gate pre-activation gradients go into one
+        preallocated ``(B, T, 4H)`` buffer, and the ``weight_x.grad`` /
+        ``weight_h.grad`` / input-gradient contractions run as single
+        batched matmuls after the reverse loop, instead of three matmuls
+        per step.  Only the recurrent
         ``d_pre_t @ weight_h.T`` remains inside the loop.
         """
         batch, steps, _ = grad_outputs.shape
@@ -392,88 +334,6 @@ class LSTM:
         self.weight_h.grad += cache.h_all[:, :-1].reshape(batch * steps, hidden).T @ flat_d_pre
         self.bias.grad += flat_d_pre.sum(axis=0)
         grad_inputs = (flat_d_pre @ self.weight_x.value.T).reshape(batch, steps, self.input_dim)
-        return grad_inputs, grad_h, grad_c
-
-    def backward_step(
-        self,
-        cache: LSTMStepCache,
-        grad_h: np.ndarray,
-        grad_c: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward through one step.
-
-        Returns gradients w.r.t. the step input x, the previous hidden state,
-        and the previous cell state; parameter gradients are accumulated.
-        """
-        hidden = self.hidden_dim
-        i = cache.gates[:, :hidden]
-        f = cache.gates[:, hidden : 2 * hidden]
-        o = cache.gates[:, 2 * hidden : 3 * hidden]
-        g = cache.gates[:, 3 * hidden :]
-
-        if cache.mask is not None:
-            keep = cache.mask[:, None]
-            grad_h_prev_passthrough = grad_h * (1.0 - keep)
-            grad_c_prev_passthrough = grad_c * (1.0 - keep)
-            grad_h = grad_h * keep
-            grad_c = grad_c * keep
-        else:
-            grad_h_prev_passthrough = 0.0
-            grad_c_prev_passthrough = 0.0
-
-        tanh_c = np.tanh(cache.c)
-        grad_o = grad_h * tanh_c
-        grad_c_total = grad_c + grad_h * o * (1.0 - tanh_c ** 2)
-        grad_i = grad_c_total * g
-        grad_g = grad_c_total * i
-        grad_f = grad_c_total * cache.c_prev
-        grad_c_prev = grad_c_total * f
-
-        d_pre_i = grad_i * i * (1.0 - i)
-        d_pre_f = grad_f * f * (1.0 - f)
-        d_pre_o = grad_o * o * (1.0 - o)
-        d_pre_g = grad_g * (1.0 - g ** 2)
-        d_pre = np.concatenate([d_pre_i, d_pre_f, d_pre_o, d_pre_g], axis=1)
-
-        self.weight_x.grad += cache.x.T @ d_pre
-        self.weight_h.grad += cache.h_prev.T @ d_pre
-        self.bias.grad += d_pre.sum(axis=0)
-
-        grad_x = d_pre @ self.weight_x.value.T
-        grad_h_prev = d_pre @ self.weight_h.value.T + grad_h_prev_passthrough
-        grad_c_prev = grad_c_prev + grad_c_prev_passthrough
-        return grad_x, grad_h_prev, grad_c_prev
-
-    def backward(
-        self,
-        caches: list[LSTMStepCache],
-        grad_outputs: np.ndarray,
-        grad_h_final: Optional[np.ndarray] = None,
-        grad_c_final: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backward through the whole sequence.
-
-        ``grad_outputs`` has shape (B, T, H): the gradient flowing into each
-        per-step hidden state.  Returns the gradient w.r.t. the inputs
-        (B, T, D) and the initial hidden/cell states.
-        """
-        batch, steps, _ = grad_outputs.shape
-        dtype = self.weight_x.value.dtype
-        grad_inputs = np.zeros((batch, steps, self.input_dim), dtype=dtype)
-        grad_h = (
-            np.zeros((batch, self.hidden_dim), dtype=dtype)
-            if grad_h_final is None
-            else grad_h_final.copy()
-        )
-        grad_c = (
-            np.zeros((batch, self.hidden_dim), dtype=dtype)
-            if grad_c_final is None
-            else grad_c_final.copy()
-        )
-        for t in reversed(range(steps)):
-            grad_h = grad_h + grad_outputs[:, t, :]
-            grad_x, grad_h, grad_c = self.backward_step(caches[t], grad_h, grad_c)
-            grad_inputs[:, t, :] = grad_x
         return grad_inputs, grad_h, grad_c
 
     def parameters(self) -> list[Parameter]:

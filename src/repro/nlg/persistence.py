@@ -567,6 +567,10 @@ def _read_weights_mmap(
     return weights
 
 
+#: ``Seq2SeqConfig`` fields that older manifests carry and loading ignores
+_RETIRED_CONFIG_KEYS = frozenset({"turbo"})
+
+
 def _restore_model(section: dict[str, Any], weights: dict[str, np.ndarray]) -> QEP2Seq:
     # the manifest's name→shape map must agree with the archive before any
     # reconstruction: a writer bug (or a weights file paired with the wrong
@@ -585,7 +589,14 @@ def _restore_model(section: dict[str, Any], weights: dict[str, np.ndarray]) -> Q
                     f"manifest declares shape {shape} for {name!r} but the "
                     f"archive holds {list(weights[name].shape)}"
                 )
-    config = _build_config(Seq2SeqConfig, section.get("config"), "model config")
+    payload = section.get("config")
+    if isinstance(payload, dict):
+        # manifests written while training had a switchable reference path
+        # record that knob; it never affected a loaded model
+        payload = {
+            key: value for key, value in payload.items() if key not in _RETIRED_CONFIG_KEYS
+        }
+    config = _build_config(Seq2SeqConfig, payload, "model config")
     # the manifest's config.dtype governs reconstruction: a float32 model
     # round-trips as float32 (the npz archive preserves array dtypes, and
     # every restored value below is cast to the model dtype)

@@ -1,13 +1,12 @@
 """Training loops for QEP2Seq: teacher forcing, minibatches of 4, early stopping.
 
-The per-batch forward/backward runs the model's fused TRAIN-TURBO path by
-default (``Seq2SeqConfig(turbo=False)`` selects the kept step-wise reference
-path; the two are parity-tested to allclose(rtol=1e-9) per batch and
-token-identical narration after identical-seed runs).  On top of that the
-Trainer offers **length-bucketed batching** (``bucket_by_length=True``):
-each epoch's seeded shuffle is stable-sorted by source+target length before
-chunking, so batches stop paying padded-width matmul cost for their longest
-member.  The schedule stays deterministic given the Trainer seed, and epoch
+The per-batch forward/backward is the model's fused TRAIN-TURBO path
+(parity-tested against the step-wise oracle in ``tests/oracles/`` to
+allclose(rtol=1e-9) per batch and token-identical narration after
+identical-seed runs).  On top of that the Trainer offers **length-bucketed
+batching** (``bucket_by_length=True``): each epoch's seeded shuffle is
+stable-sorted by source+target length before chunking, so batches stop
+paying padded-width matmul cost for their longest member.  The schedule stays deterministic given the Trainer seed, and epoch
 metrics remain chunk-size-weighted (the PR 3 fix) under uneven buckets.
 """
 

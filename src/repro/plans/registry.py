@@ -39,6 +39,19 @@ FORMAT_TREE_JSON = "operator-tree-json"
 FORMAT_POSTGRES_JSON = "postgres-json"
 
 
+#: what a parser may raise to mean "not this format".  RecursionError is a
+#: plan nested deeper than the interpreter's stack: a malformed payload, not
+#: a server fault
+PARSER_REJECTIONS = (
+    PlanFormatError,
+    ValueError,
+    TypeError,
+    KeyError,
+    AttributeError,
+    RecursionError,
+)
+
+
 @dataclass(frozen=True)
 class PlanFormat:
     """One ingestible plan serialization.
@@ -46,9 +59,8 @@ class PlanFormat:
     ``detector`` receives the *prepared* payload (JSON strings arrive
     decoded) and must answer cheaply — it gates whether ``parser`` is tried
     during auto-detection.  ``parser`` receives the same prepared payload and
-    returns an :class:`OperatorTree` or raises (``PlanFormatError``,
-    ``ValueError``, ``TypeError``, ``KeyError``, and ``AttributeError`` are
-    treated as "not this format").
+    returns an :class:`OperatorTree` or raises (the exceptions in
+    :data:`PARSER_REJECTIONS` are treated as "not this format").
     """
 
     name: str
@@ -141,18 +153,18 @@ class PlanRegistry:
         format — the raised :class:`PlanDetectionError` records each
         attempted format and why it was rejected.
         """
-        prepared = self._prepare(payload)
+        try:
+            prepared = self._prepare(payload)
+        except RecursionError as error:
+            raise PlanDetectionError(
+                f"plan payload nests too deeply to decode: {error}",
+                attempted_formats=self.formats(),
+            ) from error
         if plan_format is not None:
             resolved = self.resolve(plan_format)
             try:
                 return resolved.parser(prepared), resolved.name
-            except (
-                PlanFormatError,
-                ValueError,
-                TypeError,
-                KeyError,
-                AttributeError,
-            ) as error:
+            except PARSER_REJECTIONS as error:
                 raise PlanDetectionError(
                     f"payload is not valid {resolved.name}: {error}",
                     attempted_formats=[resolved.name],
@@ -169,13 +181,7 @@ class PlanRegistry:
             attempted.append(candidate.name)
             try:
                 return candidate.parser(prepared), candidate.name
-            except (
-                PlanFormatError,
-                ValueError,
-                TypeError,
-                KeyError,
-                AttributeError,
-            ) as error:
+            except PARSER_REJECTIONS as error:
                 reasons.append(f"{candidate.name}: {error}")
         if not attempted:
             attempted = self.formats()

@@ -146,6 +146,127 @@ class TestParityPair:
         )
         assert tested.findings == []
 
+    def test_oracle_twin_resolves_and_deleting_it_fires(self, tmp_path):
+        """A fused kernel may keep its twin in ``tests/oracles/`` as a
+        function whose first parameter is annotated with the class."""
+        files = {
+            "nlg/nn/lstm.py": """
+                class LSTM:
+                    def forward_fused(self, x):
+                        return x
+            """
+        }
+        oracle = """
+            from repro.nlg.nn.lstm import LSTM
+
+            def forward(lstm: LSTM, x):
+                return x
+        """
+        test = "# checks lstm.forward_fused against the oracle forward\n"
+        resolved = run_rules(
+            tmp_path / "ok",
+            files,
+            ["parity-pair"],
+            tests={"oracles/lstm.py": oracle, "test_lstm.py": test},
+        )
+        assert resolved.findings == []
+
+        deleted = run_rules(
+            tmp_path / "deleted",
+            files,
+            ["parity-pair"],
+            tests={"oracles/lstm.py": "import numpy\n", "test_lstm.py": test},
+        )
+        assert {f.symbol for f in deleted.findings} == {"LSTM.forward_fused"}
+
+        # a same-named function typed for another class is not a twin
+        misfiled = run_rules(
+            tmp_path / "misfiled",
+            files,
+            ["parity-pair"],
+            tests={
+                "oracles/attention.py": oracle.replace("lstm: LSTM", "attention: Attention"),
+                "test_lstm.py": test,
+            },
+        )
+        assert {f.symbol for f in misfiled.findings} == {"LSTM.forward_fused"}
+
+    def test_oracle_pair_needs_a_test_module_referencing_both(self, tmp_path):
+        """The oracle package names both members of every pair, but it is
+        not a test module: without a real test the pair fires — private
+        turbo kernels and the declared beam-decode pair included."""
+        files = {
+            "nlg/seq2seq.py": """
+                class QEP2Seq:
+                    def _forward_turbo(self, batch):
+                        return batch
+
+                    def beam_decode_batch(self, sources):
+                        return sources
+            """
+        }
+        oracle = """
+            # twins of QEP2Seq._forward_turbo and QEP2Seq.beam_decode_batch
+            def _forward_reference(model: "QEP2Seq", batch):
+                return batch
+
+            def beam_decode_candidates_sequential(model: "QEP2Seq", source):
+                return [source]
+        """
+        untested = run_rules(
+            tmp_path / "untested",
+            files,
+            ["parity-pair"],
+            tests={"oracles/seq2seq.py": oracle, "test_other.py": "pass\n"},
+        )
+        assert {f.symbol for f in untested.findings} == {
+            "QEP2Seq._forward_turbo:untested",
+            "QEP2Seq.beam_decode_batch:untested",
+        }
+
+        test = (
+            "# _forward_turbo vs _forward_reference; "
+            "beam_decode_batch vs beam_decode_candidates_sequential\n"
+        )
+        tested = run_rules(
+            tmp_path / "tested",
+            files,
+            ["parity-pair"],
+            tests={"oracles/seq2seq.py": oracle, "test_seq2seq.py": test},
+        )
+        assert tested.findings == []
+
+        renamed = oracle.replace("beam_decode_candidates_sequential", "decode")
+        lost = run_rules(
+            tmp_path / "lost",
+            files,
+            ["parity-pair"],
+            tests={"oracles/seq2seq.py": renamed, "test_seq2seq.py": test},
+        )
+        assert {f.symbol for f in lost.findings} == {"QEP2Seq.beam_decode_batch"}
+
+    def test_live_tree_fires_when_an_oracle_twin_is_deleted(self, tmp_path):
+        """Against the real ``src/repro``: the shipped fused kernels resolve
+        to ``tests/oracles/``; dropping one twin from a copy of that package
+        fires exactly its kernel."""
+        import shutil
+
+        tests_copy = tmp_path / "tests"
+        shutil.copytree(
+            REPO_ROOT / "tests", tests_copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        scan_root = REPO_ROOT / "src" / "repro"
+        intact = analyze(scan_root, tests_dir=tests_copy, rules=["parity-pair"])
+        assert intact.findings == []
+
+        oracle = tests_copy / "oracles" / "lstm.py"
+        oracle.write_text(
+            oracle.read_text(encoding="utf-8").replace("def backward(", "def backward_all("),
+            encoding="utf-8",
+        )
+        broken = analyze(scan_root, tests_dir=tests_copy, rules=["parity-pair"])
+        assert {f.symbol for f in broken.findings} == {"LSTM.backward_fused"}
+
     def test_quant_mode_without_agreement_test_fires(self, tmp_path):
         files = {
             "nlg/nn/quant.py": """

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.neural import cached_candidates
 from repro.core import Lantern
 from repro.core.lantern import LanternConfig
 from repro.errors import CacheFormatError, CheckpointFormatError
@@ -65,7 +66,7 @@ def warm_neural(trained_neural):
     neural = NeuralLantern(trained_neural.model, beam_size=2)
     sources = {tuple(sample.source_tokens) for sample in trained_neural.dataset.samples}
     for source in sorted(sources)[:2]:
-        neural._ranked_candidates(list(source), 2)
+        cached_candidates(neural, list(source), 2)
     assert len(neural.decode_cache) == 2
     return neural
 

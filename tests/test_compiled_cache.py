@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.neural import cached_candidates
 from repro.core import Lantern, LanternConfig
 from repro.errors import NLGError
 from repro.nlg.cache import (
@@ -180,7 +181,6 @@ class TestCompilePlans:
             raise AssertionError("compiled-cache serving must not decode")
 
         monkeypatch.setattr(trained_neural.model, "beam_decode_batch", _no_decodes)
-        monkeypatch.setattr(trained_neural.model, "beam_decode_candidates", _no_decodes)
         actual = [served.describe_plan(tree, mode="neural").text for tree in trees]
         assert actual == expected
         assert served.neural.decode_cache.compiled_hits > 0
@@ -249,7 +249,7 @@ class TestCompiledCacheCrossProcess:
         # process would decode live
         model = facade.neural.model
         for tokens, candidates in zip(compiled._keys, compiled._values):
-            live = model.beam_decode_candidates(list(tokens), beam_size=compiled.beam_size)
+            live = model.beam_decode_batch([list(tokens)], beam_size=compiled.beam_size)[0]
             assert [list(c) for c in candidates] == live
 
         # and a facade serving from the file narrates the plans identically
@@ -268,7 +268,7 @@ class TestLegacyCacheEntries:
         cache entries; they load under the model's current precision tag."""
         neural = NeuralLantern(trained_neural.model, beam_size=2)
         source = trained_neural.dataset.samples[0].source_tokens
-        neural._ranked_candidates(source, 2)
+        cached_candidates(neural, source, 2)
         target = neural.save(tmp_path / "legacy")
 
         from repro.nlg.persistence import MANIFEST_FILE

@@ -1,15 +1,16 @@
 """Batched beam-search parity and the act-signature decode cache.
 
-The contract under test: the fused decoders (`beam_decode_candidates`,
-`beam_decode_batch`) must produce token-for-token the same output as the
-unbatched reference path (`beam_decode_candidates_sequential`) at a fixed
-seed, and caching must preserve the exposure-based cycling through ranked
-beam alternatives.
+The contract under test: the fused decoder (`beam_decode_batch`, where one
+act is a batch of one) must produce token-for-token the same output as the
+unbatched reference decoder (`beam_decode_candidates_sequential` in
+`tests/oracles/seq2seq.py`) at a fixed seed, and caching must preserve the
+exposure-based cycling through ranked beam alternatives.
 """
 
 import numpy as np
 import pytest
 
+from oracles.seq2seq import beam_decode_candidates_sequential
 from repro.core.acts import Act
 from repro.core.narration import NarrationStep
 from repro.nlg.cache import DecodeCache, make_key
@@ -44,15 +45,15 @@ class TestBatchedBeamParity:
     @pytest.mark.parametrize("beam_size", [1, 4])
     def test_single_act_matches_sequential(self, tiny_model, tiny_sources, beam_size):
         for source in tiny_sources:
-            sequential = tiny_model.beam_decode_candidates_sequential(source, beam_size=beam_size)
-            batched = tiny_model.beam_decode_candidates(source, beam_size=beam_size)
+            sequential = beam_decode_candidates_sequential(tiny_model, source, beam_size=beam_size)
+            batched = tiny_model.beam_decode_batch([source], beam_size=beam_size)[0]
             assert batched == sequential
 
     @pytest.mark.parametrize("beam_size", [1, 4])
     def test_plan_batch_matches_per_act_decode(self, tiny_model, tiny_sources, beam_size):
         batched = tiny_model.beam_decode_batch(tiny_sources, beam_size=beam_size)
         sequential = [
-            tiny_model.beam_decode_candidates_sequential(source, beam_size=beam_size)
+            beam_decode_candidates_sequential(tiny_model, source, beam_size=beam_size)
             for source in tiny_sources
         ]
         assert batched == sequential
@@ -60,8 +61,8 @@ class TestBatchedBeamParity:
     def test_greedy_decode_goes_through_batched_path(self, tiny_model, tiny_sources):
         for source in tiny_sources:
             assert (
-                tiny_model.greedy_decode(source)
-                == tiny_model.beam_decode_candidates_sequential(source, beam_size=1)[0]
+                tiny_model.beam_decode_batch([source], beam_size=1)[0][0]
+                == beam_decode_candidates_sequential(tiny_model, source, beam_size=1)[0]
             )
 
     def test_trained_model_parity(self, trained_neural):
@@ -70,8 +71,8 @@ class TestBatchedBeamParity:
         sources = [sample.source_tokens for sample in samples]
         batched = trained_neural.model.beam_decode_batch(sources, beam_size=4)
         for source, candidates in zip(sources, batched):
-            assert candidates == trained_neural.model.beam_decode_candidates_sequential(
-                source, beam_size=4
+            assert candidates == beam_decode_candidates_sequential(
+                trained_neural.model, source, beam_size=4
             )
 
     def test_empty_batch(self, tiny_model):
@@ -128,7 +129,7 @@ class TestJoinableSearch:
         else:
             first = long_act + first
         expected = [
-            precision_model.beam_decode_candidates_sequential(source, beam_size=beam_size)
+            beam_decode_candidates_sequential(precision_model, source, beam_size=beam_size)
             for source in first + second
         ]
         _, first_calls = _decode_with_join(precision_model, first, [], -1, beam_size)
@@ -171,7 +172,7 @@ class TestJoinableSearch:
         argsort branch of the top-k)."""
         batched = tiny_model.beam_decode_batch(tiny_sources, beam_size=beam_size)
         assert batched == [
-            tiny_model.beam_decode_candidates_sequential(source, beam_size=beam_size)
+            beam_decode_candidates_sequential(tiny_model, source, beam_size=beam_size)
             for source in tiny_sources
         ]
 
@@ -225,12 +226,12 @@ class TestCachedGeneration:
         """Repeated exposures must cycle through ranked beam alternatives
         even when every decode after the first is a cache hit."""
         lantern = NeuralLantern(tiny_model, beam_size=4)
-        act, _ = _act_and_step()
+        act, step = _act_and_step()
         uncached = NeuralLantern(tiny_model, beam_size=4, cache_enabled=False)
-        cycle_length = len(tiny_model.beam_decode_candidates(act.input_tokens(), beam_size=4))
+        cycle_length = len(tiny_model.beam_decode_batch([act.input_tokens()], beam_size=4)[0])
         exposures = cycle_length + 2
-        cached_outputs = [lantern.generate_abstracted(act) for _ in range(exposures)]
-        uncached_outputs = [uncached.generate_abstracted(act) for _ in range(exposures)]
+        cached_outputs = [lantern.translate_step(act, step) for _ in range(exposures)]
+        uncached_outputs = [uncached.translate_step(act, step) for _ in range(exposures)]
         assert cached_outputs == uncached_outputs
         if cycle_length > 1:
             assert len(set(cached_outputs)) > 1  # wording actually varies

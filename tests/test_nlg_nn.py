@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import attention as attention_oracle
+from oracles import lstm as lstm_oracle
 from repro.errors import ModelConfigError
 from repro.nlg.nn.attention import AdditiveAttention
 from repro.nlg.nn.functional import one_hot, sigmoid, softmax
@@ -112,12 +114,15 @@ class TestOptimizers:
 
 
 class TestLstmGradients:
+    """Finite-difference checks of the step-wise LSTM oracle, the ground
+    truth ``tests/test_nlg_train_turbo.py`` holds the fused path to."""
+
     def test_lstm_forward_shapes_and_mask_passthrough(self):
         rng = np.random.default_rng(1)
         lstm = LSTM(3, 5, rng)
         inputs = rng.normal(size=(2, 4, 3))
         mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=float)
-        outputs, final_h, final_c, caches = lstm.forward(inputs, mask=mask)
+        outputs, final_h, final_c, caches = lstm_oracle.forward(lstm, inputs, mask=mask)
         assert outputs.shape == (2, 4, 5)
         # masked steps keep the previous hidden state
         assert np.allclose(outputs[1, 1], outputs[1, 3])
@@ -132,14 +137,14 @@ class TestLstmGradients:
         def loss_for(weight_value):
             original = lstm.weight_x.value.copy()
             lstm.weight_x.value = weight_value
-            outputs, _, _, _ = lstm.forward(inputs)
+            outputs, _, _, _ = lstm_oracle.forward(lstm, inputs)
             lstm.weight_x.value = original
             return float(np.sum(outputs ** 2))
 
-        outputs, _, _, caches = lstm.forward(inputs)
+        outputs, _, _, caches = lstm_oracle.forward(lstm, inputs)
         for parameter in lstm.parameters():
             parameter.zero_grad()
-        lstm.backward(caches, 2 * outputs)
+        lstm_oracle.backward(lstm, caches, 2 * outputs)
         analytic = lstm.weight_x.grad.copy()
 
         epsilon = 1e-5
@@ -156,15 +161,15 @@ class TestLstmGradients:
         rng = np.random.default_rng(3)
         lstm = LSTM(2, 3, rng)
         inputs = rng.normal(size=(1, 2, 2))
-        outputs, _, _, caches = lstm.forward(inputs)
-        grad_inputs, _, _ = lstm.backward(caches, 2 * outputs)
+        outputs, _, _, caches = lstm_oracle.forward(lstm, inputs)
+        grad_inputs, _, _ = lstm_oracle.backward(lstm, caches, 2 * outputs)
 
         epsilon = 1e-5
         perturbed = inputs.copy()
         perturbed[0, 0, 1] += epsilon
-        plus = float(np.sum(lstm.forward(perturbed)[0] ** 2))
+        plus = float(np.sum(lstm_oracle.forward(lstm, perturbed)[0] ** 2))
         perturbed[0, 0, 1] -= 2 * epsilon
-        minus = float(np.sum(lstm.forward(perturbed)[0] ** 2))
+        minus = float(np.sum(lstm_oracle.forward(lstm, perturbed)[0] ** 2))
         numeric = (plus - minus) / (2 * epsilon)
         assert grad_inputs[0, 0, 1] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
@@ -176,13 +181,15 @@ class TestLstmGradients:
 
 
 class TestAttentionGradients:
+    """Finite-difference checks of the per-step attention oracle."""
+
     def test_attention_weights_sum_to_one_and_respect_mask(self):
         rng = np.random.default_rng(5)
         attention = AdditiveAttention(4, 4, 3, rng)
         decoder_state = rng.normal(size=(2, 4))
         encoder_states = rng.normal(size=(2, 5, 4))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-        context, weights, _ = attention.forward(decoder_state, encoder_states, mask)
+        context, weights, _ = attention_oracle.forward(attention, decoder_state, encoder_states, mask)
         assert context.shape == (2, 4)
         assert np.allclose(weights.sum(axis=1), 1.0)
         assert np.allclose(weights[0, 3:], 0.0)
@@ -194,11 +201,11 @@ class TestAttentionGradients:
         encoder_states = rng.normal(size=(1, 4, 3))
 
         def loss(state):
-            context, _, _ = attention.forward(state, encoder_states)
+            context, _, _ = attention_oracle.forward(attention, state, encoder_states)
             return float(np.sum(context ** 2))
 
-        context, _, cache = attention.forward(decoder_state, encoder_states)
-        grad_decoder, _ = attention.backward(cache, 2 * context)
+        context, _, cache = attention_oracle.forward(attention, decoder_state, encoder_states)
+        grad_decoder, _ = attention_oracle.backward(attention, cache, 2 * context)
 
         epsilon = 1e-6
         perturbed = decoder_state.copy()

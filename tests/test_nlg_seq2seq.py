@@ -101,12 +101,12 @@ class TestQEP2SeqModel:
         )
         trainer = Trainer(model, samples, samples[:4], seed=1)
         trainer.train(epochs=40, batch_size=8, early_stopping_threshold=None)
-        decoded = model.greedy_decode(["alpha", "delta"])
+        decoded = model.beam_decode_batch([["alpha", "delta"]], beam_size=1)[0][0]
         assert decoded == ["alpha", "delta"]
 
     def test_beam_decode_terminates_and_strips_control_tokens(self):
         model = QEP2Seq(Vocabulary(["a"]), Vocabulary(["x"]), Seq2SeqConfig(hidden_dim=8, max_decode_length=5))
-        decoded = model.beam_decode(["a"], beam_size=2)
+        decoded = model.beam_decode_batch([["a"]], beam_size=2)[0][0]
         assert len(decoded) <= 5
         assert all(not token.startswith("<PAD") for token in decoded)
 

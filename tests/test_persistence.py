@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.neural import cached_candidates
 from repro.core import Lantern, LanternConfig
 from repro.errors import (
     CheckpointError,
@@ -92,8 +93,8 @@ class TestModelRoundTrip:
         assert (loaded.decoder is loaded.encoder) == (model.decoder is model.encoder)
         assert loaded.parameter_count() == model.parameter_count()
         source = ["i1", "i2", "i3"]
-        assert loaded.beam_decode_candidates(source, beam_size=3) == (
-            model.beam_decode_candidates(source, beam_size=3)
+        assert loaded.beam_decode_batch([source], beam_size=3) == (
+            model.beam_decode_batch([source], beam_size=3)
         )
 
     def test_neural_lantern_state_survives(self, trained_neural, tmp_path):
@@ -102,7 +103,7 @@ class TestModelRoundTrip:
         neural = NeuralLantern(trained_neural.model, beam_size=2)
         sources = [s.source_tokens for s in trained_neural.dataset.samples[:4]]
         for source in sources * 2:  # cycle exposures, fill the cache
-            neural._ranked_candidates(source, neural._effective_beam_size())
+            cached_candidates(neural, source, neural._effective_beam_size())
         neural._act_exposure = {"scan|filter": 3, "join": 1}
 
         neural.save(tmp_path / "neural")
@@ -116,9 +117,7 @@ class TestModelRoundTrip:
 
     def test_cache_can_be_excluded(self, trained_neural, tmp_path):
         neural = NeuralLantern(trained_neural.model, beam_size=2, cache_size=17)
-        neural._ranked_candidates(
-            trained_neural.dataset.samples[0].source_tokens, 2
-        )
+        cached_candidates(neural, trained_neural.dataset.samples[0].source_tokens, 2)
         assert len(neural.decode_cache) == 1
         neural.save(tmp_path / "cold", include_cache=False)
         loaded = NeuralLantern.load(tmp_path / "cold")
@@ -280,6 +279,55 @@ class TestCheckpointValidation:
         lantern = Lantern(neural=_NotANeuralLantern(), config=LanternConfig(seed=None))
         with pytest.raises(CheckpointError, match="only NeuralLantern"):
             lantern.save(tmp_path / "foreign")
+
+
+class TestRetiredConfigKeys:
+    """Manifests written while ``Seq2SeqConfig`` still had a ``turbo``
+    training-path knob (every one so far: ``asdict`` recorded it) keep
+    loading; any other unknown config key is still refused."""
+
+    @pytest.fixture()
+    def saved(self, dblp_db, trained_neural, tmp_path):
+        lantern = Lantern(
+            neural=NeuralLantern(trained_neural.model, beam_size=2),
+            config=LanternConfig(seed=None),
+        )
+        trees = [lantern.plan_for_sql(dblp_db, sql) for sql in SQLS]
+        for tree in trees:  # warm the decode cache and the wording cycle
+            lantern.describe_plan(tree, mode="neural")
+        target = lantern.save(tmp_path / "current")
+        assert "turbo" not in json.loads((target / MANIFEST_FILE).read_text())["model"]["config"]
+        return target, trees
+
+    @staticmethod
+    def _with_model_config(target, destination, **extra):
+        destination.mkdir()
+        for path in target.iterdir():
+            (destination / path.name).write_bytes(path.read_bytes())
+        manifest = json.loads((destination / MANIFEST_FILE).read_text())
+        manifest["model"]["config"].update(extra)
+        (destination / MANIFEST_FILE).write_text(json.dumps(manifest))
+        return destination
+
+    @pytest.mark.parametrize("turbo", [True, False])
+    def test_turbo_key_loads_identically(self, saved, tmp_path, turbo):
+        target, trees = saved
+        legacy = self._with_model_config(target, tmp_path / "legacy", turbo=turbo)
+        current = Lantern.load(target)
+        loaded = Lantern.load(legacy)
+        assert not hasattr(loaded.neural.model.config, "turbo")
+        assert (
+            loaded.neural.decode_cache.export_entries()
+            == current.neural.decode_cache.export_entries()
+        )
+        expected = [current.describe_plan(tree, mode="neural").text for tree in trees]
+        assert [loaded.describe_plan(tree, mode="neural").text for tree in trees] == expected
+
+    def test_other_unknown_config_keys_still_raise(self, saved, tmp_path):
+        target, _ = saved
+        bogus = self._with_model_config(target, tmp_path / "bogus", turbo=True, warp_drive=1)
+        with pytest.raises(CheckpointFormatError, match="warp_drive"):
+            Lantern.load(bogus)
 
 
 class TestFloat32Checkpoints:

@@ -242,6 +242,52 @@ class TestRegistry:
         assert FORMAT_MYSQL_JSON in lantern.registry.formats()
 
 
+def _deep_postgres(levels: int) -> list:
+    """A decoded PostgreSQL plan ``levels`` operators deep (built without
+    recursion, so any depth can be made)."""
+    node = {"Node Type": "Seq Scan", "Relation Name": "publication"}
+    for _ in range(levels - 1):
+        node = {"Node Type": "Sort", "Sort Key": ["year"], "Plans": [node]}
+    return [{"Plan": node}]
+
+
+def _deep_postgres_text(levels: int) -> str:
+    """The same plan as EXPLAIN JSON text (``json.dumps`` itself recurses)."""
+    leaf = '{"Node Type": "Seq Scan", "Relation Name": "publication"}'
+    wrap = '{"Node Type": "Sort", "Sort Key": ["year"], "Plans": ['
+    return '[{"Plan": ' + wrap * (levels - 1) + leaf + "]}" * (levels - 1) + "}]"
+
+
+class TestDeepPlans:
+    """A plan nested deeper than the interpreter's stack is a malformed
+    payload: a typed 400 ``plan_format``, never a raw RecursionError."""
+
+    @pytest.mark.parametrize("payload", [_deep_postgres, _deep_postgres_text])
+    def test_3000_levels_raise_plan_detection_error(self, payload):
+        from repro.service.frontend import error_response
+
+        with pytest.raises(PlanDetectionError) as excinfo:
+            default_registry().ingest(payload(3000))
+        assert error_response(excinfo.value) == (
+            400,
+            {
+                "error": "plan_format",
+                "message": str(excinfo.value),
+                "attempted_formats": excinfo.value.attempted_formats,
+            },
+        )
+        facade = Lantern(config=LanternConfig(seed=None))
+        with pytest.raises(PlanDetectionError):
+            facade.describe_plan(facade.parse_plan(payload(3000)))
+
+    def test_900_levels_still_narrate(self):
+        facade = Lantern()
+        tree, plan_format = facade.registry.ingest(_deep_postgres(900))
+        assert plan_format == FORMAT_POSTGRES_JSON
+        narration = facade.describe_plan(tree)
+        assert narration.steps and "publication" in narration.text
+
+
 class TestDescribePlansBatched:
     def _mixed_trees(self, db, lantern, count: int = 9):
         sqls = [

@@ -12,6 +12,8 @@ only within that envelope (on the test model it changes nothing at all).
 import numpy as np
 import pytest
 
+from oracles.neural import cached_candidates
+from oracles.seq2seq import beam_decode_candidates_sequential
 from repro.errors import ModelConfigError
 from repro.nlg.metrics import corpus_bleu
 from repro.nlg.nn.quant import infer_replica, quantize_int8_rowwise, validate_quantize_mode
@@ -105,7 +107,7 @@ class TestParityContract:
         try:
             batched = model.beam_decode_batch(sources, beam_size=2)
             sequential = [
-                model.beam_decode_candidates_sequential(source, beam_size=2)
+                beam_decode_candidates_sequential(model, source, beam_size=2)
                 for source in sources
             ]
             assert batched == sequential
@@ -180,13 +182,13 @@ class TestQuantizedLifecycle:
 
         neural = NeuralLantern(trained_neural.model, beam_size=2)
         source = trained_neural.dataset.samples[0].source_tokens
-        neural._ranked_candidates(source, 2)
+        cached_candidates(neural, source, 2)
         [full_key] = [key for key, _ in neural.decode_cache.export_entries()]
         assert full_key == make_key(source, 2, "float64:none")
 
         neural.model.quantize("int8")
         try:
-            neural._ranked_candidates(source, 2)
+            cached_candidates(neural, source, 2)
             keys = {key for key, _ in neural.decode_cache.export_entries()}
         finally:
             neural.model.dequantize()
@@ -202,7 +204,7 @@ class TestQuantizedEdgeCases:
         model.quantize(mode)
         try:
             batched = model.beam_decode_batch([oov], beam_size=2)
-            sequential = model.beam_decode_candidates_sequential(oov, beam_size=2)
+            sequential = beam_decode_candidates_sequential(model, oov, beam_size=2)
         finally:
             model.dequantize()
         assert batched[0] == sequential
@@ -213,12 +215,12 @@ class TestQuantizedEdgeCases:
         """Degenerate act serializations must decode (as pure-UNK input),
         not crash — quantized or not, batched or not."""
         model = trained_neural.model
-        plain = model.beam_decode_candidates(source, beam_size=2)
+        plain = model.beam_decode_batch([source], beam_size=2)[0]
         assert plain and all(plain)
         model.quantize("int8")
         try:
             quantized = model.beam_decode_batch([source], beam_size=2)[0]
-            assert quantized == model.beam_decode_candidates_sequential(source, beam_size=2)
+            assert quantized == beam_decode_candidates_sequential(model, source, beam_size=2)
         finally:
             model.dequantize()
         assert quantized and all(quantized)

@@ -254,9 +254,9 @@ class TestNeuralServing:
             )
             per_step = []
             for act, step in zip(acts, narration.steps):
-                candidates = trained_neural.model.beam_decode_candidates(
-                    act.input_tokens(), beam_size=trained_neural._effective_beam_size()
-                )
+                candidates = trained_neural.model.beam_decode_batch(
+                    [act.input_tokens()], beam_size=trained_neural._effective_beam_size()
+                )[0]
                 per_step.append(
                     {
                         trained_neural._finalize(detokenize(tokens), step)
