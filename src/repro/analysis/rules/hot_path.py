@@ -2,7 +2,8 @@
 
 The repo has a small, explicit set of per-request / per-token functions
 (batched beam decode, cache lookup, span recording, router forward, batch
-collection).  Inside those — and only those — the rule flags the patterns
+collection, and both ends of every HTTP hop: request-head parsing, the
+response write, and the client's round trip).  Inside those — and only those — the rule flags the patterns
 that PRs 4-6 spent their budget removing:
 
 * ``np.concatenate``/``vstack``/``hstack`` inside a loop (per-iteration
@@ -35,6 +36,8 @@ HOT_PATHS: dict[str, tuple[str, ...]] = {
     "obs/tracing.py": ("Span.child", "Span.add_child_at", "TraceStore.add"),
     "service/fleet/router.py": ("LanternFleet._forward",),
     "service/batcher.py": ("MicroBatcher._collect_batch",),
+    "service/frontend.py": ("FrontEnd.parse_request", "FrontEnd._send"),
+    "service/client.py": ("LanternClient._round_trip", "_Connection.read_reply"),
 }
 
 _CONCAT_NAMES = {"concatenate", "vstack", "hstack"}

@@ -51,13 +51,23 @@ def _tree_signature(node) -> tuple:
     Two trees with the same signature narrate identically under a
     deterministic (``seed=None``) rule narrator, which is what makes the
     rule-phase memo sound.  Attribute values are stringified so unhashable
-    values (lists of sort keys, expression objects) key reliably.
+    values (lists of sort keys, expression objects) key reliably.  The
+    signature is the flat pre-order of ``(name, sorted attributes, child
+    count)``, which determines the tree; it is built without recursion, so
+    any depth keys.
     """
-    return (
-        node.name,
-        tuple(sorted((key, str(value)) for key, value in node.attributes.items())),
-        tuple(_tree_signature(child) for child in node.children),
-    )
+    signature = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        children = current.children
+        signature.append((
+            current.name,
+            tuple(sorted((key, str(value)) for key, value in current.attributes.items())),
+            len(children),
+        ))
+        stack.extend(reversed(children))
+    return tuple(signature)
 
 
 @dataclass

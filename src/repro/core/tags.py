@@ -23,6 +23,8 @@ SPECIAL_TAGS: dict[str, str] = {
 }
 
 _INTERMEDIATE_RE = re.compile(r"\bT\d+\b")
+#: any Table 1 tag, in ``SPECIAL_TAGS`` order (what :func:`restore_step_text` scans for)
+_TAG_RE = re.compile("|".join(re.escape(tag) for tag in SPECIAL_TAGS))
 
 
 @dataclass
@@ -91,9 +93,8 @@ def restore_step_text(abstracted: str, mapping: TagMapping) -> str:
     """Invert :func:`abstract_step_text` using the recorded slot order."""
     counters: dict[str, int] = {}
     result: list[str] = []
-    token_pattern = re.compile("|".join(re.escape(tag) for tag in SPECIAL_TAGS))
     position = 0
-    for match in token_pattern.finditer(abstracted):
+    for match in _TAG_RE.finditer(abstracted):
         result.append(abstracted[position : match.start()])
         tag = match.group()
         values = mapping.values_for(tag)

@@ -149,8 +149,9 @@ class NeuralLantern:
         candidates = [tokens for tokens in candidates if tokens]
         if not candidates:
             raise NLGError("the decoder produced an empty description")
-        exposure = self._act_exposure.get(act.key, 0)
-        self._act_exposure[act.key] = exposure + 1
+        key = act.key
+        exposure = self._act_exposure.get(key, 0)
+        self._act_exposure[key] = exposure + 1
         return detokenize(candidates[exposure % len(candidates)])
 
     def translate_step(self, act: Act, rule_step: NarrationStep) -> str:

@@ -9,6 +9,7 @@ operator feeds, which induces the auxiliary→critical edge).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from repro.errors import PoolSemanticError
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_operator_name(name: str) -> str:
     """Normalize an engine operator name to its POEM object name.
 

@@ -1,7 +1,8 @@
 """A small stdlib client for LANTERN-SERVE.
 
-Wraps ``http.client`` so callers (examples, benchmarks, course tooling) can
-talk to the service without handling HTTP details::
+Speaks HTTP/1.1 over a raw socket so callers (examples, benchmarks, course
+tooling, the fleet router) can talk to the service without handling HTTP
+details::
 
     client = LanternClient("http://127.0.0.1:8517")
     result = client.narrate(explain_json)            # format auto-detected
@@ -16,6 +17,11 @@ get the classic one-connection-per-request behaviour.  The client is also a
 context manager: ``with LanternClient(...) as client: ...`` closes the
 socket on exit.
 
+Each request goes out in one ``sendall`` on a ``TCP_NODELAY`` socket, and
+each reply is read by its ``Content-Length``: a chunked reply, or one
+without a length on a kept-alive connection, raises
+:class:`~repro.errors.ServiceError` instead of hanging.
+
 Non-2xx responses raise :class:`LanternServiceError` carrying the status
 code and the decoded error body (including ``attempted_formats`` on 400s
 from the plan registry).
@@ -23,13 +29,18 @@ from the plan registry).
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 from typing import Any, Optional
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
+
+
+#: bounds on a reply head (status line and headers) and one ``recv``
+MAX_REPLY_HEAD_BYTES = 64 * 1024
+RECV_BYTES = 64 * 1024
 
 
 class LanternServiceError(ServiceError):
@@ -39,6 +50,10 @@ class LanternServiceError(ServiceError):
         super().__init__(f"HTTP {status}: {body.get('message', body)}")
         self.status = status
         self.body = body
+
+
+class _ConnectionLost(ServiceError):
+    """The server closed the connection before any byte of the reply."""
 
 
 def _trace_headers(trace_id: Optional[str]) -> Optional[dict[str, str]]:
@@ -63,11 +78,13 @@ class LanternClient:
         self._host = parts.hostname or "127.0.0.1"
         self._port = parts.port or 80
         self._path_prefix = parts.path.rstrip("/")
-        # one persistent connection PER THREAD: http.client connections are
-        # not safe for interleaved use, and callers do share one client
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._host_header = f"{host}:{self._port}"
+        # one persistent connection PER THREAD: a connection carries one
+        # request/reply exchange at a time, and callers do share one client
         # across hammering threads (the concurrency tests do, deliberately)
         self._local = threading.local()
-        self._open_connections: list[http.client.HTTPConnection] = []
+        self._open_connections: list[_Connection] = []
         self._registry_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -160,11 +177,11 @@ class LanternClient:
     # ------------------------------------------------------------------
 
     @property
-    def _connection(self) -> Optional[http.client.HTTPConnection]:
+    def _connection(self) -> Optional[_Connection]:
         """The calling thread's persistent connection (None when closed)."""
         return getattr(self._local, "connection", None)
 
-    def _bind_connection(self, connection: Optional[http.client.HTTPConnection]) -> None:
+    def _bind_connection(self, connection: Optional[_Connection]) -> None:
         self._local.connection = connection
         if connection is not None:
             with self._registry_lock:
@@ -211,63 +228,64 @@ class LanternClient:
         headers: Optional[dict[str, str]] = None,
     ) -> Any:
         """One request; decodes JSON unless ``raw`` (returns the text)."""
-        data = json.dumps(body).encode("utf-8") if body is not None else None
-        headers = dict(headers) if headers else {}
-        if data:
-            headers.setdefault("Content-Type", "application/json")
+        head = f"{method} {self._path_prefix}{path} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        data = b""
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
         if not self.keep_alive:
-            headers["Connection"] = "close"
-        full_path = self._path_prefix + path
+            head += "Connection: close\r\n"
+        message = f"{head}\r\n".encode("iso-8859-1") + data
         # a kept-alive connection may have been closed by the server while
         # idle; the failure only surfaces on the next use, so one retry on
-        # a REUSED connection is safe (the request never reached a fresh
-        # server socket) and expected
+        # a REUSED connection is safe (no byte of a reply arrived, so the
+        # request never reached a live server socket) and expected
         existing = self._connection
         reused = existing is not None and existing.sock is not None
         try:
-            response, payload = self._round_trip(method, full_path, data, headers)
+            status, will_close, payload = self._round_trip(message)
         except TimeoutError as error:
             # never replayed: a timed-out request may have reached the
             # server, and narration requests have state side effects
             self._drop_connection()
             raise ServiceError(f"cannot reach {self.base_url}{path}: {error}") from error
-        except (http.client.HTTPException, OSError) as error:
+        except (OSError, _ConnectionLost) as error:
             self._drop_connection()
             if not reused:
                 raise ServiceError(
                     f"cannot reach {self.base_url}{path}: {error}"
                 ) from error
             try:
-                response, payload = self._round_trip(method, full_path, data, headers)
-            except (http.client.HTTPException, OSError) as retry_error:
+                status, will_close, payload = self._round_trip(message)
+            except (OSError, ServiceError) as retry_error:
                 self._drop_connection()
                 raise ServiceError(
                     f"cannot reach {self.base_url}{path}: {retry_error}"
                 ) from retry_error
+        except ServiceError:
+            self._drop_connection()  # a malformed reply leaves the stream unusable
+            raise
 
-        if response.will_close or not self.keep_alive:
+        if will_close or not self.keep_alive:
             self._drop_connection()
-        if raw and 200 <= response.status < 300:
+        if raw and 200 <= status < 300:
             return payload.decode("utf-8", errors="replace")
         try:
             decoded = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             decoded = {"message": payload.decode("utf-8", errors="replace")}
-        if not 200 <= response.status < 300:
-            raise LanternServiceError(response.status, decoded)
+        if not 200 <= status < 300:
+            raise LanternServiceError(status, decoded)
         return decoded
 
-    def _round_trip(
-        self,
-        method: str,
-        path: str,
-        data: Optional[bytes],
-        headers: dict[str, str],
-    ) -> tuple[http.client.HTTPResponse, bytes]:
-        """One request/response over the (possibly fresh) connection.
+    def _round_trip(self, message: bytes) -> tuple[int, bool, bytes]:
+        """Send one request in one write and read its reply over the
+        (possibly fresh) connection: ``(status, will_close, body)``.
 
         The body is read fully before returning so a kept-alive stream is
-        positioned at the next response boundary.
+        positioned at the next reply boundary.
         """
         connection = self._connection
         if connection is None or connection.sock is None:
@@ -275,11 +293,95 @@ class LanternClient:
             # down (sock=None only ever means closed here: a fresh
             # connection is bound and used within this call)
             self._drop_connection()
-            connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout_s
-            )
+            connection = _Connection(self._host, self._port, self.timeout_s)
             self._bind_connection(connection)
-        connection.request(method, path, body=data, headers=headers)
-        response = connection.getresponse()
-        payload = response.read()
-        return response, payload
+        connection.sock.sendall(message)
+        return connection.read_reply()
+
+
+class _Connection:
+    """One TCP stream to the server and the bytes read past the last reply."""
+
+    def __init__(self, host: str, port: int, timeout_s: float) -> None:
+        self.sock: Optional[socket.socket] = socket.create_connection((host, port), timeout_s)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._pending = b""
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            sock.close()
+
+    def read_reply(self) -> tuple[int, bool, bytes]:
+        """``(status, will_close, body)`` of the next reply on the stream;
+        interim ``1xx`` replies are skipped."""
+        sock = self.sock
+        buffer = self._pending
+        started = False
+        while True:
+            end = buffer.find(b"\r\n\r\n")
+            while end < 0:
+                if len(buffer) > MAX_REPLY_HEAD_BYTES:
+                    raise ServiceError(f"reply head exceeds {MAX_REPLY_HEAD_BYTES} bytes")
+                chunk = sock.recv(RECV_BYTES)
+                if not chunk:
+                    if started or buffer:
+                        raise ServiceError("connection closed inside a reply head")
+                    raise _ConnectionLost("connection closed before a reply")
+                buffer += chunk
+                end = buffer.find(b"\r\n\r\n")
+            started = True
+            lines = buffer[:end].decode("iso-8859-1").split("\r\n")
+            buffer = buffer[end + 4 :]
+            version, _, rest = lines[0].partition(" ")
+            code = rest[:3]
+            if not (version.startswith("HTTP/") and code.isascii() and code.isdigit()):
+                raise ServiceError(f"malformed reply status line {lines[0][:64]!r}")
+            status = int(code)
+            if status >= 200:
+                break
+        fields: dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            fields[name.strip().lower()] = value.strip()
+        connection = fields.get("connection", "").lower()
+        will_close = connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        if "transfer-encoding" in fields:
+            raise ServiceError(
+                f"reply uses Transfer-Encoding {fields['transfer-encoding']!r}; "
+                "only Content-Length framing is supported"
+            )
+        length = fields.get("content-length")
+        if length is None:
+            if not will_close:
+                raise ServiceError("reply has no Content-Length on a kept-alive connection")
+            return status, True, self._read_to_end(buffer)
+        if not (length.isascii() and length.isdigit()):
+            raise ServiceError(f"invalid reply Content-Length {length[:32]!r}")
+        return status, will_close, self._read_body(buffer, int(length))
+
+    def _read_body(self, buffer: bytes, length: int) -> bytes:
+        if len(buffer) >= length:
+            self._pending = buffer[length:]
+            return buffer[:length]
+        self._pending = b""
+        body = bytearray(length)
+        body[: len(buffer)] = buffer
+        view = memoryview(body)
+        have = len(buffer)
+        while have < length:
+            received = self.sock.recv_into(view[have:])
+            if not received:
+                raise ServiceError(f"connection closed after {have} of {length} body bytes")
+            have += received
+        return bytes(body)
+
+    def _read_to_end(self, buffer: bytes) -> bytes:
+        chunks = [buffer]
+        while True:
+            chunk = self.sock.recv(RECV_BYTES)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)

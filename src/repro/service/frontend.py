@@ -12,12 +12,21 @@ a batch of one.  :func:`envelope_plans` reads the plans out of a body and
 :func:`narrate_response` turns the pipeline's per-plan items back into the
 HTTP answer — item 0 itself for a single plan (an error item's ``status``
 becomes the HTTP status), the ``{"results": [...]}`` envelope otherwise.
+
+The transport is HTTP/1.1 with keep-alive.  :class:`FrontEnd` reads the
+request head itself (:meth:`FrontEnd.parse_request`: no ``email`` header
+parser) and writes each response — status line, headers and body — in one
+write.  Bodies are framed by ``Content-Length`` only; a ``Transfer-Encoding``
+request is refused.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socket
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler
 from typing import Any, Callable, NamedTuple, Optional
 from urllib.parse import parse_qs
@@ -44,6 +53,29 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 TRACE_HEADER = "X-Lantern-Trace-Id"
 #: what a 429 tells the client to wait, in the body and in ``Retry-After``
 RETRY_AFTER_S = 1
+#: request-head bounds: header lines per request, bytes per line (the
+#: request line included)
+MAX_HEADER_LINES = 100
+MAX_LINE_BYTES = 64 * 1024
+#: how long, and for how many bytes, a refused connection drains the client
+LINGER_S = 1.0
+LINGER_BYTES = 1024 * 1024
+
+#: the methods a route table can serve; anything else is a 405
+_METHODS = frozenset({"GET", "POST"})
+_VERSION_RE = re.compile(r"HTTP/(\d{1,3})\.(\d{1,3})", re.ASCII)
+#: transport-level refusals (answered before any route runs) → wire code
+_TRANSPORT_ERRORS = {
+    400: "bad_request",
+    405: "method_not_allowed",
+    411: "length_required",
+    414: "too_large",
+    431: "too_large",
+    505: "version_not_supported",
+}
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+#: ``(second, Date header value)``: formatted once per second, not per response
+_date_cache: tuple[int, str] = (0, "")
 
 #: ``errors.py`` class → (HTTP status, wire ``error`` code); the first match
 #: wins, so subclasses come before their bases
@@ -120,16 +152,118 @@ class FrontEnd(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
-    # headers and body go out as separate small writes; with Nagle on, the
-    # body segment stalls behind the client's delayed ACK (~40 ms) on every
-    # kept-alive request
+    # a response goes out in one write, but a reply larger than one segment
+    # would still hold its short tail back until the client ACKs (Nagle)
     disable_nagle_algorithm = True
     routes: dict[tuple[str, str], Route] = {}
     telemetry: ServiceTelemetry
     tracer: Tracer
+    #: request body bytes no route has read yet; a response sent while any
+    #: are left closes the connection (they would desync the next request)
+    _unread = 0
+    #: set when a response closes the connection with request bytes maybe
+    #: still unread: the close then lingers (see :func:`_drain_input`)
+    _linger = False
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # telemetry replaces access logs; stderr stays quiet
+
+    def parse_request(self) -> bool:
+        """Read the request head after the request line: version, at most
+        :data:`MAX_HEADER_LINES` header lines of at most
+        :data:`MAX_LINE_BYTES`, then ``Content-Length``, ``Connection`` and
+        ``Expect: 100-continue``.  Returns ``False`` once a refusal is sent.
+        """
+        self.command = None
+        self.close_connection = True
+        self._unread = 0
+        words = self.raw_requestline.decode("iso-8859-1").split()
+        if len(words) != 3:
+            self.send_error(400, "malformed request line")
+            return False
+        method, self.path, version = words
+        if version == "HTTP/1.1":
+            keep_alive = True
+        elif version == "HTTP/1.0":
+            keep_alive = False
+        else:
+            match = _VERSION_RE.fullmatch(version)
+            if match is None:
+                self.send_error(400, f"malformed HTTP version {version[:32]!r}")
+                return False
+            if match.group(1).lstrip("0") != "1":
+                self.send_error(505, f"HTTP version {version} is not supported")
+                return False
+            keep_alive = int(match.group(2)) >= 1
+        self.request_version = version
+        http11 = keep_alive
+        if method not in _METHODS:
+            self.send_error(405, f"method {method[:32]!r} is not allowed")
+            return False
+
+        readline = self.rfile.readline
+        fields: dict[str, str] = {}
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = readline(MAX_LINE_BYTES + 1)
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(431, f"a header line exceeds {MAX_LINE_BYTES} bytes")
+                return False
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                self.send_error(400, "malformed header line")
+                return False
+            name, value = name.lower(), value.strip()
+            if name not in fields:
+                fields[name] = value
+            elif name == "content-length":
+                if value != fields[name]:
+                    self.send_error(400, "conflicting Content-Length headers")
+                    return False
+            else:
+                fields[name] += ", " + value
+        else:
+            self.send_error(431, f"more than {MAX_HEADER_LINES} header lines")
+            return False
+        self.headers = Headers(fields)
+
+        if "transfer-encoding" in fields:
+            self.send_error(411, "Transfer-Encoding bodies are not accepted; send Content-Length")
+            return False
+        length = fields.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, f"invalid Content-Length {length[:32]!r}")
+            return False
+        self._unread = int(length)
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            keep_alive = False
+        elif connection == "keep-alive":
+            keep_alive = True
+        self.command = method
+        self.close_connection = not keep_alive
+        if (
+            0 < self._unread <= MAX_BODY_BYTES
+            and http11
+            and fields.get("expect", "").lower() == "100-continue"
+        ):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Refuse a request before any route runs, as a JSON error in one
+        write, and close the connection."""
+        self.close_connection = self._linger = True
+        error = _TRANSPORT_ERRORS.get(code, "bad_request")
+        self._send(code, {"error": error, "message": message or _REASONS.get(code, "")})
+
+    def finish(self) -> None:
+        super().finish()
+        if self._linger:
+            _drain_input(self.connection)
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -179,16 +313,15 @@ class FrontEnd(BaseHTTPRequestHandler):
     def _read_body(self, required: bool = True) -> Any:
         """The decoded JSON body (``None`` when absent and not ``required``)."""
         with self.span.child("read_body"):
-            length = int(self.headers.get("Content-Length", 0) or 0)
+            length = self._unread
             if length <= 0:
                 if not required:
                     return None
-                self.close_connection = True
                 raise RequestError("missing request body")
             if length > MAX_BODY_BYTES:
-                self.close_connection = True
                 raise RequestTooLargeError(f"request body exceeds {MAX_BODY_BYTES} bytes")
             raw = self.rfile.read(length)
+            self._unread = 0
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
@@ -196,23 +329,64 @@ class FrontEnd(BaseHTTPRequestHandler):
                 raise RequestError(f"invalid JSON body: {error}") from error
 
     def _send(self, status: int, payload: Any) -> None:
+        """Write the status line, headers and body as one buffer."""
         if isinstance(payload, dict):
             data, content_type = json.dumps(payload).encode("utf-8"), "application/json"
         else:
             text, content_type = payload
             data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {_http_date(self)}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
         if status == 429:
-            self.send_header("Retry-After", str(RETRY_AFTER_S))
+            head += f"Retry-After: {RETRY_AFTER_S}\r\n"
+        if self._unread:
+            # the unread request body would desync a kept-alive stream
+            self.close_connection = self._linger = True
         if self.close_connection:
-            # set when the request body was not (fully) read: the unread
-            # bytes would desync a kept-alive HTTP/1.1 stream, so tell the
-            # client this connection is done
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode("iso-8859-1") + data)
+
+
+class Headers(dict):
+    """A request's header fields keyed by lower-cased name; :meth:`get`
+    takes a name in any case.  Repeated fields are joined with ``", "``."""
+
+    def get(self, name: str, default: Any = None) -> Any:  # type: ignore[override]
+        return dict.get(self, name.lower(), default)
+
+
+def _drain_input(sock: socket.socket) -> None:
+    """Half-close, then discard what the client still sends until it closes
+    (at most :data:`LINGER_S` and :data:`LINGER_BYTES`).  Closing with
+    unread bytes would make the kernel send a reset, which can destroy the
+    response before the client reads it.
+    """
+    deadline = time.monotonic() + LINGER_S
+    received = 0
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(LINGER_S)
+        while received < LINGER_BYTES and time.monotonic() < deadline:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return
+            received += len(chunk)
+    except OSError:
+        return  # reset or timed out: the client is gone or idle either way
+
+
+def _http_date(handler: BaseHTTPRequestHandler) -> str:
+    """The ``Date`` header value, formatted at most once per second."""
+    global _date_cache
+    now = int(time.time())
+    if _date_cache[0] != now:
+        _date_cache = (now, handler.date_time_string(now))
+    return _date_cache[1]
 
 
 def narrate_response(

@@ -350,6 +350,44 @@ class TestHotPath:
         report = run_rules(tmp_path, files, ["hot-path"])
         assert any(f.symbol == "DecodeCache.put:missing" for f in report.findings)
 
+    def test_http_hop_is_hot(self, tmp_path):
+        """Both ends of every HTTP hop are declared: a per-header try/except
+        in the request-head parser fires, and a front end or client that
+        loses its parse, write or round-trip function is a finding."""
+        files = {
+            "service/frontend.py": """
+                class FrontEnd:
+                    def parse_request(self, lines):
+                        for line in lines:
+                            try:
+                                line.decode()
+                            except UnicodeDecodeError:
+                                pass
+            """,
+            "service/client.py": "class LanternClient:\n    pass\n",
+        }
+        report = run_rules(tmp_path, files, ["hot-path"])
+        assert {f.symbol for f in report.findings} == {
+            "FrontEnd.parse_request:try-in-loop",
+            "FrontEnd._send:missing",
+            "LanternClient._round_trip:missing",
+            "_Connection.read_reply:missing",
+        }
+
+    def test_live_repo_declares_the_http_hop(self):
+        from repro.analysis.engine import load_files
+        from repro.analysis.rules.hot_path import HOT_PATHS, _find_symbol
+
+        sources = {source.rel: source for source in load_files(REPO_ROOT / "src" / "repro")}
+        assert HOT_PATHS["service/frontend.py"] == ("FrontEnd.parse_request", "FrontEnd._send")
+        assert HOT_PATHS["service/client.py"] == (
+            "LanternClient._round_trip",
+            "_Connection.read_reply",
+        )
+        for suffix in ("service/frontend.py", "service/client.py"):
+            for qualname in HOT_PATHS[suffix]:
+                assert _find_symbol(sources[suffix].tree, qualname) is not None, qualname
+
 
 # ---------------------------------------------------------------------------
 # error-taxonomy

@@ -287,6 +287,27 @@ class TestDeepPlans:
         narration = facade.describe_plan(tree)
         assert narration.steps and "publication" in narration.text
 
+    def test_900_level_tree_narrates_with_the_rule_memo(self):
+        """The memo key of a hand-built tree deeper than the interpreter's
+        stack allows a recursive walk to keep is computed without recursion:
+        the memo narrates it as the memo-less facade does, and the second
+        call is a memo hit."""
+        from repro.plans.operator_tree import OperatorNode, OperatorTree
+
+        node = OperatorNode(
+            "Seq Scan", attributes={"relation": "publication", "alias": "publication"}
+        )
+        for _ in range(899):
+            node = OperatorNode("Sort", children=[node], attributes={"sort_keys": ["year"]})
+        tree = OperatorTree(node)
+        memo = Lantern(config=LanternConfig(seed=None))
+        plain = Lantern(config=LanternConfig(seed=None, rule_memo_enabled=False))
+        first = memo.describe_plan(tree)
+        assert first.text == plain.describe_plan(tree).text
+        assert "publication" in first.text
+        assert memo.describe_plan(tree).text == first.text
+        assert memo.rule_memo_stats()["hits"] == 1
+
 
 class TestDescribePlansBatched:
     def _mixed_trees(self, db, lantern, count: int = 9):
