@@ -19,8 +19,8 @@ socket on exit.
 
 Each request goes out in one ``sendall`` on a ``TCP_NODELAY`` socket, and
 each reply is read by its ``Content-Length``: a chunked reply, or one
-without a length on a kept-alive connection, raises
-:class:`~repro.errors.ServiceError` instead of hanging.
+without a length, raises :class:`~repro.errors.ServiceError` instead of
+hanging.
 
 Non-2xx responses raise :class:`LanternServiceError` carrying the status
 code and the decoded error body (including ``attempted_formats`` on 400s
@@ -313,33 +313,27 @@ class _Connection:
             sock.close()
 
     def read_reply(self) -> tuple[int, bool, bytes]:
-        """``(status, will_close, body)`` of the next reply on the stream;
-        interim ``1xx`` replies are skipped."""
+        """``(status, will_close, body)`` of the next reply on the stream."""
         sock = self.sock
         buffer = self._pending
-        started = False
-        while True:
+        end = buffer.find(b"\r\n\r\n")
+        while end < 0:
+            if len(buffer) > MAX_REPLY_HEAD_BYTES:
+                raise ServiceError(f"reply head exceeds {MAX_REPLY_HEAD_BYTES} bytes")
+            chunk = sock.recv(RECV_BYTES)
+            if not chunk:
+                if buffer:
+                    raise ServiceError("connection closed inside a reply head")
+                raise _ConnectionLost("connection closed before a reply")
+            buffer += chunk
             end = buffer.find(b"\r\n\r\n")
-            while end < 0:
-                if len(buffer) > MAX_REPLY_HEAD_BYTES:
-                    raise ServiceError(f"reply head exceeds {MAX_REPLY_HEAD_BYTES} bytes")
-                chunk = sock.recv(RECV_BYTES)
-                if not chunk:
-                    if started or buffer:
-                        raise ServiceError("connection closed inside a reply head")
-                    raise _ConnectionLost("connection closed before a reply")
-                buffer += chunk
-                end = buffer.find(b"\r\n\r\n")
-            started = True
-            lines = buffer[:end].decode("iso-8859-1").split("\r\n")
-            buffer = buffer[end + 4 :]
-            version, _, rest = lines[0].partition(" ")
-            code = rest[:3]
-            if not (version.startswith("HTTP/") and code.isascii() and code.isdigit()):
-                raise ServiceError(f"malformed reply status line {lines[0][:64]!r}")
-            status = int(code)
-            if status >= 200:
-                break
+        lines = buffer[:end].decode("iso-8859-1").split("\r\n")
+        buffer = buffer[end + 4 :]
+        version, _, rest = lines[0].partition(" ")
+        code = rest[:3]
+        if not (version.startswith("HTTP/") and code.isascii() and code.isdigit()):
+            raise ServiceError(f"malformed reply status line {lines[0][:64]!r}")
+        status = int(code)
         fields: dict[str, str] = {}
         for line in lines[1:]:
             name, _, value = line.partition(":")
@@ -353,13 +347,9 @@ class _Connection:
                 f"reply uses Transfer-Encoding {fields['transfer-encoding']!r}; "
                 "only Content-Length framing is supported"
             )
-        length = fields.get("content-length")
-        if length is None:
-            if not will_close:
-                raise ServiceError("reply has no Content-Length on a kept-alive connection")
-            return status, True, self._read_to_end(buffer)
+        length = fields.get("content-length", "")
         if not (length.isascii() and length.isdigit()):
-            raise ServiceError(f"invalid reply Content-Length {length[:32]!r}")
+            raise ServiceError(f"reply has no valid Content-Length ({length[:32]!r})")
         return status, will_close, self._read_body(buffer, int(length))
 
     def _read_body(self, buffer: bytes, length: int) -> bytes:
@@ -377,11 +367,3 @@ class _Connection:
                 raise ServiceError(f"connection closed after {have} of {length} body bytes")
             have += received
         return bytes(body)
-
-    def _read_to_end(self, buffer: bytes) -> bytes:
-        chunks = [buffer]
-        while True:
-            chunk = self.sock.recv(RECV_BYTES)
-            if not chunk:
-                return b"".join(chunks)
-            chunks.append(chunk)

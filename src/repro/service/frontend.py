@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-import socket
 import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler
@@ -57,9 +56,6 @@ RETRY_AFTER_S = 1
 #: request line included)
 MAX_HEADER_LINES = 100
 MAX_LINE_BYTES = 64 * 1024
-#: how long, and for how many bytes, a refused connection drains the client
-LINGER_S = 1.0
-LINGER_BYTES = 1024 * 1024
 
 #: the methods a route table can serve; anything else is a 405
 _METHODS = frozenset({"GET", "POST"})
@@ -161,9 +157,6 @@ class FrontEnd(BaseHTTPRequestHandler):
     #: request body bytes no route has read yet; a response sent while any
     #: are left closes the connection (they would desync the next request)
     _unread = 0
-    #: set when a response closes the connection with request bytes maybe
-    #: still unread: the close then lingers (see :func:`_drain_input`)
-    _linger = False
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # telemetry replaces access logs; stderr stays quiet
@@ -256,14 +249,9 @@ class FrontEnd(BaseHTTPRequestHandler):
     ) -> None:
         """Refuse a request before any route runs, as a JSON error in one
         write, and close the connection."""
-        self.close_connection = self._linger = True
+        self.close_connection = True
         error = _TRANSPORT_ERRORS.get(code, "bad_request")
         self._send(code, {"error": error, "message": message or _REASONS.get(code, "")})
-
-    def finish(self) -> None:
-        super().finish()
-        if self._linger:
-            _drain_input(self.connection)
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -346,7 +334,7 @@ class FrontEnd(BaseHTTPRequestHandler):
             head += f"Retry-After: {RETRY_AFTER_S}\r\n"
         if self._unread:
             # the unread request body would desync a kept-alive stream
-            self.close_connection = self._linger = True
+            self.close_connection = True
         if self.close_connection:
             head += "Connection: close\r\n"
         self.wfile.write(f"{head}\r\n".encode("iso-8859-1") + data)
@@ -358,26 +346,6 @@ class Headers(dict):
 
     def get(self, name: str, default: Any = None) -> Any:  # type: ignore[override]
         return dict.get(self, name.lower(), default)
-
-
-def _drain_input(sock: socket.socket) -> None:
-    """Half-close, then discard what the client still sends until it closes
-    (at most :data:`LINGER_S` and :data:`LINGER_BYTES`).  Closing with
-    unread bytes would make the kernel send a reset, which can destroy the
-    response before the client reads it.
-    """
-    deadline = time.monotonic() + LINGER_S
-    received = 0
-    try:
-        sock.shutdown(socket.SHUT_WR)
-        sock.settimeout(LINGER_S)
-        while received < LINGER_BYTES and time.monotonic() < deadline:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return
-            received += len(chunk)
-    except OSError:
-        return  # reset or timed out: the client is gone or idle either way
 
 
 def _http_date(handler: BaseHTTPRequestHandler) -> str:
