@@ -3,8 +3,9 @@
 The repo has a small, explicit set of per-request / per-token functions
 (batched beam decode, cache lookup, span recording, router forward, batch
 collection, and both ends of every HTTP hop: request-head parsing, the
-response write, and the client's round trip).  Inside those — and only those — the rule flags the patterns
-that PRs 4-6 spent their budget removing:
+response write, and the client's round trip).  Inside those — and only
+those — the rule flags the patterns that PRs 4-6 spent their budget
+removing:
 
 * ``np.concatenate``/``vstack``/``hstack`` inside a loop (per-iteration
   array reallocation; hoist or preallocate);

@@ -239,9 +239,9 @@ class LanternClient:
             head += "Connection: close\r\n"
         message = f"{head}\r\n".encode("iso-8859-1") + data
         # a kept-alive connection may have been closed by the server while
-        # idle; the failure only surfaces on the next use, so one retry on
-        # a REUSED connection is safe (no byte of a reply arrived, so the
-        # request never reached a live server socket) and expected
+        # idle; that surfaces on the next use, as a reset or as a close
+        # before any reply byte, so one retry on a REUSED connection is
+        # expected (a close part-way through a reply raises instead)
         existing = self._connection
         reused = existing is not None and existing.sock is not None
         try:

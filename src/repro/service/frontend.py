@@ -275,7 +275,6 @@ class FrontEnd(BaseHTTPRequestHandler):
         with self.span:
             try:
                 if route is None:
-                    self._read_body(required=False)  # keep a kept-alive stream in step
                     raise RouteNotFoundError(self.path)
                 status, payload = route.handle(self)
             except Exception as error:  # noqa: BLE001 - the table's last row is 500

@@ -231,12 +231,19 @@ class TestRequestHead:
                 assert headers["server"] and headers["date"]
                 assert status in (200, 404)
 
-    def test_unread_body_closes_the_connection(self, front_end):
+    @pytest.mark.parametrize(
+        "message, expected",
+        [
+            (b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 4\r\n\r\nabcd", 200),
+            (b"POST /nowhere HTTP/1.1\r\nHost: test\r\nContent-Length: 4\r\n\r\nabcd", 404),
+        ],
+    )
+    def test_unread_body_closes_the_connection(self, front_end, message, expected):
+        """A body no route reads is never parsed (so an unknown path is a
+        404 whatever its body); the connection then closes."""
         address, _ = front_end
-        status, headers, _, closed = _exchange(
-            address, b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 4\r\n\r\nabcd"
-        )
-        assert status == 200
+        status, headers, _, closed = _exchange(address, message)
+        assert status == expected
         assert headers["connection"] == "close"
         assert closed
 
