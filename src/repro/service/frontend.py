@@ -22,9 +22,11 @@ request is refused.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
+from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler
 from typing import Any, Callable, NamedTuple, Optional
@@ -70,8 +72,6 @@ _TRANSPORT_ERRORS = {
     505: "version_not_supported",
 }
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
-#: ``(second, Date header value)``: formatted once per second, not per response
-_date_cache: tuple[int, str] = (0, "")
 
 #: ``errors.py`` class → (HTTP status, wire ``error`` code); the first match
 #: wins, so subclasses come before their bases
@@ -325,7 +325,7 @@ class FrontEnd(BaseHTTPRequestHandler):
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
             f"Server: {self.version_string()}\r\n"
-            f"Date: {_http_date(self)}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(data)}\r\n"
         )
@@ -347,13 +347,10 @@ class Headers(dict):
         return dict.get(self, name.lower(), default)
 
 
-def _http_date(handler: BaseHTTPRequestHandler) -> str:
-    """The ``Date`` header value, formatted at most once per second."""
-    global _date_cache
-    now = int(time.time())
-    if _date_cache[0] != now:
-        _date_cache = (now, handler.date_time_string(now))
-    return _date_cache[1]
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value, formatted once per second."""
+    return formatdate(second, usegmt=True)
 
 
 def narrate_response(
