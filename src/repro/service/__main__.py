@@ -15,6 +15,14 @@ milliseconds rather than a retraining run (see ``BENCH_checkpoint.json``).
 written by ``python -m repro.nlg.compile`` under the LRU decode cache, so
 every act signature of the compiled workload is served with zero matmuls
 (the LANTERN-ZERO serving tier).
+
+``--worker-id W`` runs the process as LANTERN-FLEET worker ``W``: responses
+carry ``worker_id`` and the ``/admin/drain`` and ``/admin/cache`` routes are
+served.  The fleet router spawns its workers this way, with ``--port 0``,
+and learns each bound port from the ``listening on`` line.
+
+SIGTERM and SIGINT both drain (up to five seconds for queued narrations),
+stop, and exit 0.
 """
 
 from __future__ import annotations
@@ -46,6 +54,12 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--host", default=DEFAULT_HOST)
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
+    parser.add_argument(
+        "--worker-id",
+        metavar="W",
+        help="serve as fleet worker W: stamp worker_id and open /admin/drain and "
+        "/admin/cache (the fleet router spawns its workers with this)",
+    )
     generator = parser.add_mutually_exclusive_group()
     generator.add_argument(
         "--neural",
@@ -125,6 +139,7 @@ def main(argv: list[str] | None = None) -> None:
         tracing_enabled=not args.no_tracing,
         trace_log=args.trace_log,
         trace_log_every=args.trace_sample,
+        instance_id=args.worker_id,
     )
     service.serve_forever()
 

@@ -70,7 +70,6 @@ def main(argv: Optional[list[str]] = None) -> None:
         max_queue_depth=args.max_queue_depth,
         heartbeat_interval_s=args.heartbeat_interval,
         tracing_enabled=not args.no_tracing,
-        worker_tracing=not args.no_tracing,
     )
     LanternFleet(config).serve_forever()
 

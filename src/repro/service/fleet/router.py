@@ -1,12 +1,13 @@
 """The LANTERN-FLEET router: one front door, N warm worker processes.
 
 The router owns the fleet topology: it spawns every worker as a
-``python -m repro.service.fleet.worker`` subprocess (all warm-booting the
+``python -m repro.service --worker-id W`` subprocess (all warm-booting the
 *same* mmap checkpoint, so model pages are shared through the page cache),
-waits for each worker's stdout ready-line handshake, and routes every
-``POST /narrate`` by consistent-hashing the request's tag-abstracted plan
-signature (:func:`repro.service.fleet.ring.plan_routing_signature`) onto the
-ring.  A plan shape therefore always lands on the worker whose decode cache
+learns each worker's ephemeral port from the ``listening on`` line it prints
+on stdout, and routes every ``POST /narrate`` by consistent-hashing the
+request's tag-abstracted plan signature
+(:func:`repro.service.fleet.ring.plan_routing_signature`) onto the ring.
+A plan shape therefore always lands on the worker whose decode cache
 and rule memo already hold it.
 
 A single plan is a batch of one.  The plans of a request are grouped per
@@ -40,12 +41,11 @@ hit rates next to the router's own telemetry.
 
 from __future__ import annotations
 
-import json
 import os
+import re
 import subprocess
 import sys
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -62,7 +62,6 @@ from repro.service.fleet.ring import (
     ConsistentHashRing,
     plan_routing_signature,
 )
-from repro.service.fleet.worker import READY_PREFIX
 from repro.service.frontend import (
     TRACE_HEADER,
     FrontEnd,
@@ -73,8 +72,9 @@ from repro.service.frontend import (
     make_front_end,
     narrate_response,
     observability_routes,
+    run_until_signalled,
 )
-from repro.service.server import DEFAULT_HOST
+from repro.service.server import DEFAULT_HOST, LISTENING_LINE
 from repro.service.telemetry import ServiceTelemetry
 
 __all__ = ["FleetConfig", "WorkerHandle", "LanternFleet", "DEFAULT_ROUTER_PORT"]
@@ -99,8 +99,7 @@ class FleetConfig:
     #: per-worker batcher knobs (forwarded to the worker CLI)
     max_batch_size: int = 32
     max_queue_depth: int = 256
-    worker_tracing: bool = True
-    #: seconds to wait for a spawned worker's ready line before killing it
+    #: seconds to wait for a spawned worker's listening line before killing it
     spawn_timeout_s: float = 120.0
     #: per-forward HTTP timeout toward a worker
     request_timeout_s: float = 60.0
@@ -109,7 +108,7 @@ class FleetConfig:
     #: pull each worker's decode-cache snapshot every Nth heartbeat (the
     #: crash-respawn warmup source); 0 disables snapshot pulls
     snapshot_every: int = 10
-    #: router-side LANTERN-SCOPE knobs
+    #: LANTERN-SCOPE knobs; ``tracing_enabled`` holds for the workers too
     tracing_enabled: bool = True
     trace_window: int = 256
     trace_keep: int = 16
@@ -234,7 +233,7 @@ class LanternFleet:
         command = [
             sys.executable,
             "-m",
-            "repro.service.fleet.worker",
+            "repro.service",
             "--worker-id",
             worker_id,
             "--host",
@@ -250,12 +249,12 @@ class LanternFleet:
             command += ["--checkpoint", str(self.config.checkpoint)]
         if self.config.compiled_cache:
             command += ["--compiled-cache", str(self.config.compiled_cache)]
-        if not self.config.worker_tracing:
+        if not self.config.tracing_enabled:
             command.append("--no-tracing")
         return command
 
     def _spawn_process(self, worker_id: str, generation: int) -> WorkerHandle:
-        """Spawn one worker and complete the ready-line handshake."""
+        """Spawn one worker and wait for its ``listening on`` line."""
         import repro
 
         src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -270,40 +269,35 @@ class LanternFleet:
             text=True,
             env=env,
         )
-        # a worker that hangs before its ready line is killed by the
+        # a worker that hangs before its listening line is killed by the
         # watchdog, which turns the blocking readline below into EOF
         watchdog = threading.Timer(self.config.spawn_timeout_s, process.kill)
         watchdog.daemon = True
         watchdog.start()
-        ready: Optional[dict[str, Any]] = None
+        listening: Optional[re.Match[str]] = None
         try:
             assert process.stdout is not None
             for line in process.stdout:
-                if line.startswith(READY_PREFIX):
-                    ready = json.loads(line[len(READY_PREFIX):])
+                listening = LISTENING_LINE.search(line)
+                if listening is not None:
                     break
         finally:
             watchdog.cancel()
-        if ready is None:
+        if listening is None:
             returncode = process.poll()
             process.kill()
             raise FleetError(
-                f"worker {worker_id} exited before its ready line "
+                f"worker {worker_id} exited before its listening line "
                 f"(returncode={returncode})"
             )
+        host, port = listening.group(1), int(listening.group(2))
         drain = threading.Thread(
             target=_drain_stream, args=(process.stdout,), daemon=True,
             name=f"fleet-stdout-{worker_id}",
         )
         drain.start()
-        client = LanternClient(
-            f"http://{ready['host']}:{ready['port']}",
-            timeout_s=self.config.request_timeout_s,
-        )
-        return WorkerHandle(
-            worker_id, process, ready["host"], ready["port"], client,
-            generation=generation,
-        )
+        client = LanternClient(f"http://{host}:{port}", timeout_s=self.config.request_timeout_s)
+        return WorkerHandle(worker_id, process, host, port, client, generation=generation)
 
     def _spawn_worker(
         self,
@@ -551,10 +545,20 @@ class LanternFleet:
         )
 
     def _restart(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
-        body = request._read_body(required=False) or {}
+        body = request._read_body(required=False)
+        if body is None:
+            body = {}
+        if not isinstance(body, dict):
+            raise RequestError("a restart order must be a JSON object")
         targets = body.get("workers")
-        if targets is None and body.get("worker"):
+        if targets is None and "worker" in body:
             targets = [body["worker"]]
+        if targets is not None and not (
+            isinstance(targets, list) and all(isinstance(target, str) for target in targets)
+        ):
+            raise RequestError(
+                '"workers" must be a list of worker ids and "worker" a single worker id'
+            )
         return 200, self.restart_workers(targets)
 
     # ------------------------------------------------------------------
@@ -750,26 +754,28 @@ class LanternFleet:
         self.stop()
 
     def serve_forever(self) -> None:
-        """Blocking convenience used by ``python -m repro.service.fleet``."""
+        """Blocking convenience used by ``python -m repro.service.fleet``.
+
+        SIGTERM and SIGINT both run :meth:`stop`, which SIGTERMs every
+        worker (each drains, then exits) and waits for it.
+        """
         host, port = self.start()
-        print(
-            f"LANTERN-FLEET router listening on http://{host}:{port} "
-            f"({self.config.num_workers} workers)"
-        )
+        url = f"http://{host}:{port}"
+        lines = [f"LANTERN-FLEET router listening on {url} ({self.config.num_workers} workers)"]
         for worker_id, handle in sorted(self.workers.items()):
-            print(f"  worker {worker_id}: http://{handle.host}:{handle.port} (pid {handle.process.pid})")
-        print(f"  POST http://{host}:{port}/narrate            (single or batch wire)")
-        print(f"  POST http://{host}:{port}/admin/restart      (draining rolling restart)")
-        print(f"  GET  http://{host}:{port}/metrics            (aggregated; ?format=prometheus)")
-        print(f"  GET  http://{host}:{port}/trace              (router→worker span trees)")
-        print(f"  GET  http://{host}:{port}/healthz")
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            print("shutting down fleet")
-        finally:
-            self.stop()
+            lines.append(
+                f"  worker {worker_id}: http://{handle.host}:{handle.port} "
+                f"(pid {handle.process.pid})"
+            )
+        lines += [
+            f"  POST {url}/narrate            (single or batch wire)",
+            f"  POST {url}/admin/restart      (draining rolling restart)",
+            f"  GET  {url}/metrics            (aggregated; ?format=prometheus)",
+            f"  GET  {url}/trace              (router→worker span trees)",
+            f"  GET  {url}/healthz",
+        ]
+        print("\n".join(lines), flush=True)
+        run_until_signalled(self.stop)
 
 
 def _make_router_handler(fleet: LanternFleet) -> type[FrontEnd]:

@@ -18,6 +18,9 @@ request head itself (:meth:`FrontEnd.parse_request`: no ``email`` header
 parser) and writes each response — status line, headers and body — in one
 write.  Bodies are framed by ``Content-Length`` only; a ``Transfer-Encoding``
 request is refused.
+
+Both processes also stop the same way: :func:`run_until_signalled` turns
+SIGTERM and SIGINT into their orderly ``stop``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import signal
 import time
 from email.utils import formatdate
 from http import HTTPStatus
@@ -414,3 +418,26 @@ def make_front_end(
         "tracer": tracer,
     }
     return type("FrontEnd", (FrontEnd,), attributes)
+
+
+def run_until_signalled(stop: Callable[[], None]) -> None:
+    """Block until SIGTERM or SIGINT, then run ``stop``: the one way every
+    serving process (a service, a fleet worker, a fleet router) stops.
+
+    The handlers only record the signal, so one arriving while ``stop`` runs
+    (a Ctrl-C reaches the router and its workers, then the router's own
+    SIGTERM follows) cannot cut the orderly stop short, and the process
+    exits 0.  Call from the main thread.
+    """
+    received: list[int] = []
+    previous = {
+        number: signal.signal(number, lambda signum, frame: received.append(signum))
+        for number in (signal.SIGTERM, signal.SIGINT)
+    }
+    try:
+        while not received:
+            time.sleep(0.1)
+    finally:
+        stop()
+        for number, handler in previous.items():
+            signal.signal(number, handler)

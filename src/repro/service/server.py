@@ -28,9 +28,10 @@ narration times out — the one table in
 
 from __future__ import annotations
 
+import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from http.server import ThreadingHTTPServer
 from typing import Any, Optional
 
@@ -51,11 +52,15 @@ from repro.service.frontend import (  # noqa: F401 - MAX_BODY_BYTES is re-export
     make_front_end,
     narrate_response,
     observability_routes,
+    run_until_signalled,
 )
 from repro.service.telemetry import ServiceTelemetry
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8517
+#: the line :meth:`LanternService.serve_forever` prints once it listens; a
+#: fleet router reads it from every worker it spawns to learn the bound port
+LISTENING_LINE = re.compile(r"listening on http://(\S+):(\d+)")
 
 
 def _process_rss_bytes() -> Optional[int]:
@@ -102,9 +107,10 @@ class ServiceConfig:
     trace_log: Optional[str] = None
     #: emit every Nth finished trace to the trace log (1 = all)
     trace_log_every: int = 1
-    #: stable identity of this serving process inside a fleet (surfaced in
-    #: ``/healthz`` and ``/metrics`` so the router can attribute responses);
-    #: None outside LANTERN-FLEET
+    #: stable identity of this serving process inside a fleet (``--worker-id``):
+    #: surfaced in ``/healthz`` and ``/metrics`` so the router can attribute
+    #: responses, and it opens the ``/admin/*`` routes the router drives the
+    #: worker's lifecycle with; None outside LANTERN-FLEET
     instance_id: Optional[str] = None
 
 
@@ -213,16 +219,64 @@ class LanternService:
         return items
 
     def routes(self) -> dict[tuple[str, str], Route]:
-        """The route table this process serves (the fleet worker adds its
-        ``/admin/*`` routes)."""
-        return {
+        """The route table this process serves.  A fleet worker (one with an
+        ``instance_id``) also serves the three ``/admin/*`` lifecycle routes:
+
+        * ``POST /admin/drain`` — :meth:`begin_drain`, the rolling-restart
+          first step;
+        * ``GET /admin/cache`` — the decode cache as ``{"entries": rows}``,
+          the rows of the one cache codec
+          (:meth:`repro.nlg.cache.DecodeCache.export_rows`), oldest→newest
+          so a re-import reproduces the LRU order;
+        * ``POST /admin/cache`` — import such a snapshot, all-or-nothing
+          (:meth:`~repro.nlg.cache.DecodeCache.import_rows`): how a cold
+          successor inherits its predecessor's warm entries.
+        """
+        routes = {
             ("POST", "/narrate"): Route(self._narrate, trace="POST /narrate"),
             **observability_routes(self),
         }
+        if self.config.instance_id is not None:
+            routes.update({
+                ("POST", "/admin/drain"): Route(self._drain),
+                ("GET", "/admin/cache"): Route(self._export_cache),
+                ("POST", "/admin/cache"): Route(self._import_cache),
+            })
+        return routes
 
     def _narrate(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
         body = request._read_body()
         return narrate_response(request, body, self.narrate_items(body, request.span))
+
+    def _drain(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        request._read_body(required=False)
+        self.begin_drain()
+        return 200, {"status": "draining", "worker_id": self.config.instance_id}
+
+    def _export_cache(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        cache = getattr(self.lantern.neural, "decode_cache", None)
+        entries = cache.export_rows() if cache is not None else []
+        return 200, {
+            "entries": entries,
+            "count": len(entries),
+            "neural_attached": self.lantern.neural is not None,
+            "worker_id": self.config.instance_id,
+        }
+
+    def _import_cache(self, request: FrontEnd) -> tuple[int, dict[str, Any]]:
+        body = request._read_body(required=False)
+        if body is not None and not isinstance(body, dict):
+            raise RequestError("a cache snapshot must be a JSON object")
+        neural = self.lantern.neural
+        cache = getattr(neural, "decode_cache", None)
+        imported = 0
+        if cache is not None:  # a rule-only worker has no cache to fill
+            imported = cache.import_rows((body or {}).get("entries", []), neural.model.precision)
+        return 200, {
+            "imported": imported,
+            "neural_attached": neural is not None,
+            "worker_id": self.config.instance_id,
+        }
 
     def begin_drain(self) -> None:
         """Take this process out of rotation without dropping in-flight work.
@@ -359,21 +413,33 @@ class LanternService:
         if self.trace_log is not None:
             self.trace_log.close()
 
+    def drain_and_stop(self) -> None:
+        """The stop routine of a serving process: :meth:`begin_drain`, give
+        the queued narrations up to five seconds to finish, then :meth:`stop`."""
+        self.begin_drain()
+        deadline = time.monotonic() + 5.0
+        while self.batcher.queue_depth > 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        self.stop()
+
     def serve_forever(self) -> None:
-        """Blocking convenience used by ``python -m repro.service``."""
+        """Blocking convenience used by ``python -m repro.service``.
+
+        The ``listening on`` line goes out flushed: a fleet router reads it
+        from a spawned worker's stdout pipe to learn the bound port.
+        SIGTERM and SIGINT both run :meth:`drain_and_stop`.
+        """
         host, port = self.start()
-        print(f"LANTERN-SERVE listening on http://{host}:{port}")
-        print(f"  POST http://{host}:{port}/narrate")
-        print(f"  GET  http://{host}:{port}/metrics   (?format=prometheus)")
-        print(f"  GET  http://{host}:{port}/trace")
-        print(f"  GET  http://{host}:{port}/healthz")
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            print("shutting down")
-        finally:
-            self.stop()
+        url = f"http://{host}:{port}"
+        print(
+            f"LANTERN-SERVE listening on {url}\n"
+            f"  POST {url}/narrate\n"
+            f"  GET  {url}/metrics   (?format=prometheus)\n"
+            f"  GET  {url}/trace\n"
+            f"  GET  {url}/healthz",
+            flush=True,
+        )
+        run_until_signalled(self.drain_and_stop)
 
 
 def _narration_to_dict(narration: Narration) -> dict[str, Any]:
@@ -411,14 +477,12 @@ def build_service(
 ) -> LanternService:
     """Convenience constructor used by ``__main__`` and the tests.
 
-    Keyword knobs matching a :class:`ServiceConfig` field (the tracing
-    controls) configure the service; everything else goes to
-    :class:`BatcherConfig` as before.
+    Keyword knobs naming a :class:`ServiceConfig` field (the tracing
+    controls, ``instance_id``, ...) configure the service; everything else
+    goes to :class:`BatcherConfig`.
     """
     service_knobs = {
-        key: knobs.pop(key)
-        for key in ("tracing_enabled", "trace_window", "trace_keep", "trace_log", "trace_log_every")
-        if key in knobs
+        spec.name: knobs.pop(spec.name) for spec in fields(ServiceConfig) if spec.name in knobs
     }
     config = ServiceConfig(
         host=host, port=port, batcher=BatcherConfig(**knobs), **service_knobs

@@ -22,8 +22,7 @@ from repro.nlg.cache import DecodeCache
 from repro.nlg.neural_lantern import NeuralLantern
 from repro.nlg.persistence import MANIFEST_FILE
 from repro.service.client import LanternClient
-from repro.service.fleet import WorkerService
-from repro.service.server import ServiceConfig
+from repro.service.server import LanternService, ServiceConfig
 
 # a small alphabet makes repeated keys (LRU refreshes) likely
 _tokens = st.lists(st.sampled_from(["scan", "<R>", "join", "ü", ""]), max_size=4)
@@ -87,7 +86,7 @@ def test_corrupted_row_is_rejected_by_checkpoint_and_worker(warm_neural, tmp_pat
 
     before = warm_neural.decode_cache.export_entries()
     facade = Lantern(neural=warm_neural, config=LanternConfig(seed=None))
-    service = WorkerService(facade, config=ServiceConfig(port=0, instance_id="wC"))
+    service = LanternService(facade, config=ServiceConfig(port=0, instance_id="wC"))
     host, port = service.start()
     client = LanternClient(f"http://{host}:{port}")
     try:

@@ -5,7 +5,7 @@ Three layers, cheapest first:
 * pure-function tests of the consistent-hash ring and the routing
   signature (stickiness, minimal key movement under churn, cross-
   serialization stability);
-* in-process :class:`WorkerService` tests (draining health, the
+* in-process fleet-worker :class:`LanternService` tests (draining health, the
   ``/admin/*`` surface, the decode-cache handoff wire format);
 * a real two-worker fleet over HTTP: shard stickiness, batch
   split/rejoin, trace grafting, metric aggregation, worker kill →
@@ -29,11 +29,9 @@ from repro.service.fleet import (
     ConsistentHashRing,
     FleetConfig,
     LanternFleet,
-    WorkerService,
-    build_worker,
     plan_routing_signature,
 )
-from repro.service.server import ServiceConfig, build_service
+from repro.service.server import LanternService, ServiceConfig, build_service
 
 
 def _scan(relation: str, **extra) -> dict:
@@ -231,14 +229,14 @@ class TestDrainingHealth:
 
 
 # ---------------------------------------------------------------------------
-# worker admin surface (in-process WorkerService over HTTP)
+# worker admin surface (in-process LanternService with an instance_id, over HTTP)
 # ---------------------------------------------------------------------------
 
 
 class TestWorkerAdmin:
     @pytest.fixture()
     def worker(self):
-        service = build_worker("wx", port=0)
+        service = build_service(port=0, instance_id="wx")
         host, port = service.start()
         client = LanternClient(f"http://{host}:{port}")
         yield service, client
@@ -276,6 +274,25 @@ class TestWorkerAdmin:
         assert client.request_json("POST", "/admin/bogus", {})[0] == 404
         assert client.request_json("GET", "/admin/bogus")[0] == 404
 
+    def test_a_service_without_instance_id_serves_no_admin_routes(self):
+        """The admin routes are a fleet worker's: a plain service 404s them."""
+        service = build_service(port=0)
+        host, port = service.start()
+        client = LanternClient(f"http://{host}:{port}")
+        try:
+            for method, path in (
+                ("POST", "/admin/drain"),
+                ("GET", "/admin/cache"),
+                ("POST", "/admin/cache"),
+            ):
+                body = {} if method == "POST" else None
+                status, reply = client.request_json(method, path, body)
+                assert (status, reply["error"]) == (404, "not_found"), (method, path)
+            assert client.healthz()["status"] == "ok"
+        finally:
+            client.close()
+            service.stop()
+
 
 # ---------------------------------------------------------------------------
 # decode-cache handoff (the predecessor→successor snapshot protocol)
@@ -291,7 +308,7 @@ class TestCacheHandoff:
         trained_neural._act_exposure.clear()
         trained_neural.decode_cache.clear()
         facade = Lantern(neural=trained_neural, config=LanternConfig(seed=None))
-        service = WorkerService(facade, config=ServiceConfig(port=0, instance_id="wA"))
+        service = LanternService(facade, config=ServiceConfig(port=0, instance_id="wA"))
         host, port = service.start()
         client = LanternClient(f"http://{host}:{port}")
         try:
@@ -340,7 +357,7 @@ class TestCacheHandoff:
         trained_neural._act_exposure.clear()
         trained_neural.decode_cache.clear()
         facade = Lantern(neural=trained_neural, config=LanternConfig(seed=None))
-        service = WorkerService(facade, config=ServiceConfig(port=0, instance_id="wP"))
+        service = LanternService(facade, config=ServiceConfig(port=0, instance_id="wP"))
         host, port = service.start()
         client = LanternClient(f"http://{host}:{port}")
         try:
@@ -547,6 +564,24 @@ class TestFleetErrorContract:
         assert status == item["status"] == 400
         assert single["error"] == item["error"] == error
         assert single["trace_id"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [[1], "x", 5, {"workers": 5}, {"workers": "w0"}, {"workers": ["w0", 1]},
+         {"worker": 5}, {"worker": ["w0"]}],
+    )
+    def test_bad_restart_order_is_a_bad_request(self, live_fleet, body):
+        """A restart order that is not an object, or whose ``workers`` is not
+        a list of worker ids (``worker``: not one id), is a 400 that restarts
+        nothing — refused for its shape, not looked up (``"w0"`` was split
+        into the unknown workers ``['w', '0']``)."""
+        fleet, client = live_fleet
+        generations = {wid: handle.generation for wid, handle in fleet.workers.items()}
+        status, reply = client.request_json("POST", "/admin/restart", body)
+        assert (status, reply["error"]) == (400, "bad_request")
+        assert "unknown workers" not in reply["message"]
+        assert {wid: handle.generation for wid, handle in fleet.workers.items()} == generations
+        assert client.metrics()["fleet"]["restarts"] == 0
 
     def test_deeply_nested_body_is_a_bad_request(self, live_fleet):
         import http.client
