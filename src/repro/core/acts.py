@@ -35,36 +35,58 @@ class Act:
     input_count: int = 1
     node: Optional[LotNode] = None
     step: Optional[NarrationStep] = None
+    #: :attr:`signature` and :attr:`key`, computed on first use (an act's
+    #: structure does not change after decomposition)
+    _signature: Optional[tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    #: finished neural texts of this act, kept by NEURAL-LANTERN for the rule
+    #: step they were worded for: ``(rule step, {candidate tokens: text})``.
+    #: Memoized acts are reused by the rule memo, so the texts live and die
+    #: with its entry
+    wordings: Optional[tuple[NarrationStep, dict[tuple[str, ...], str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def input_tokens(self) -> list[str]:
+    @property
+    def signature(self) -> tuple[str, ...]:
         """The source-sequence tokens fed to the QEP2Seq encoder.
 
         Operator names come first, then one ``<T>`` per input, then the
         structural tags describing which schema-dependent pieces are present.
         The vocabulary is therefore closed and small (paper: 36 tokens).
         """
-        tokens = [normalize_operator_name(name) for name in self.operators]
-        tokens.extend(["<T>"] * max(self.input_count, 1))
-        if self.has_index_condition:
-            tokens.append("<I>")
-        if self.has_join_condition:
-            tokens.append("<C>")
-        if self.has_filter:
-            tokens.append("<F>")
-        if self.group_key_count:
-            tokens.append("<G>")
-        if self.sort_key_count:
-            tokens.append("<A>")
-        if self.has_limit:
-            tokens.append("limit")
-        if self.produces_intermediate:
-            tokens.append("<TN>")
-        return tokens
+        if self._signature is None:
+            tokens = [normalize_operator_name(name) for name in self.operators]
+            tokens.extend(["<T>"] * max(self.input_count, 1))
+            if self.has_index_condition:
+                tokens.append("<I>")
+            if self.has_join_condition:
+                tokens.append("<C>")
+            if self.has_filter:
+                tokens.append("<F>")
+            if self.group_key_count:
+                tokens.append("<G>")
+            if self.sort_key_count:
+                tokens.append("<A>")
+            if self.has_limit:
+                tokens.append("limit")
+            if self.produces_intermediate:
+                tokens.append("<TN>")
+            self._signature = tuple(tokens)
+        return self._signature
+
+    def input_tokens(self) -> list[str]:
+        """:attr:`signature` as a list."""
+        return list(self.signature)
 
     @property
     def key(self) -> str:
         """A deduplication key describing the act's structure (not its values)."""
-        return " ".join(self.input_tokens())
+        if self._key is None:
+            self._key = " ".join(self.signature)
+        return self._key
 
 
 def _act_from_node(node: LotNode, auxiliary: Optional[LotNode]) -> Act:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, Union
 
 from repro.core.acts import Act, align_acts_with_narration, decompose_lot_into_acts
@@ -414,7 +414,20 @@ class Lantern:
         """Splice translated step texts back into the rule narration."""
         neural_steps: list[NarrationStep] = list(narration.steps)
         for (position, _, step), text in zip(neural_bound, texts):
-            neural_steps[position] = replace(step, text=text, generator="neural")
+            neural_steps[position] = NarrationStep(
+                index=step.index,
+                text=text,
+                operator_names=step.operator_names,
+                relations=step.relations,
+                filter_condition=step.filter_condition,
+                join_condition=step.join_condition,
+                index_name=step.index_name,
+                group_keys=step.group_keys,
+                sort_keys=step.sort_keys,
+                intermediate=step.intermediate,
+                is_final=step.is_final,
+                generator="neural",
+            )
         return Narration(
             steps=neural_steps,
             source=narration.source,

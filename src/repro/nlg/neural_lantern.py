@@ -41,6 +41,11 @@ from repro.nlg.tokenizer import detokenize, tokenize
 from repro.nlg.training import Trainer, TrainingHistory
 from repro.core.tags import restore_step_text
 
+#: finished texts kept per act (:meth:`NeuralLantern._word`).  A decode
+#: yields at most ``beam_size`` candidates (4 by default), so a full set
+#: holds texts of replaced candidate lists and is dropped
+WORDINGS_PER_ACT = 16
+
 
 @dataclass
 class NeuralLanternResult:
@@ -142,17 +147,40 @@ class NeuralLantern:
     # generation
     # ------------------------------------------------------------------
 
-    def _pick_candidate(self, act: Act, candidates: list[list[str]]) -> str:
-        """The abstracted sentence for this exposure of ``act``: repeated
-        exposures cycle through the surviving beam hypotheses, so recurring
-        operators get varied wording (the anti-habituation behaviour of §6)."""
+    def _pick_candidate(self, act: Act, candidates: list[list[str]]) -> list[str]:
+        """The abstracted sentence tokens for this exposure of ``act``:
+        repeated exposures cycle through the surviving beam hypotheses, so
+        recurring operators get varied wording (the anti-habituation
+        behaviour of §6)."""
         candidates = [tokens for tokens in candidates if tokens]
         if not candidates:
             raise NLGError("the decoder produced an empty description")
         key = act.key
         exposure = self._act_exposure.get(key, 0)
         self._act_exposure[key] = exposure + 1
-        return detokenize(candidates[exposure % len(candidates)])
+        return candidates[exposure % len(candidates)]
+
+    def _word(self, act: Act, candidate: Sequence[str], rule_step: NarrationStep) -> str:
+        """The finished text of ``candidate`` for ``rule_step``.
+
+        :meth:`_finalize` runs once per (rule step, candidate tokens); the
+        text is kept on ``act`` (see :attr:`Act.wordings`), whose rule-memo
+        entry reuses it with the same step object.  A different step object
+        starts a fresh set of texts, and texts are keyed on the candidate's
+        tokens, so a re-decoded or re-imported candidate list can never be
+        served another candidate's text.
+        """
+        wordings = act.wordings
+        if wordings is None or wordings[0] is not rule_step:
+            wordings = act.wordings = (rule_step, {})
+        texts = wordings[1]
+        tokens = tuple(candidate)
+        text = texts.get(tokens)
+        if text is None:
+            if len(texts) >= WORDINGS_PER_ACT:
+                texts.clear()
+            text = texts[tokens] = self._finalize(detokenize(candidate), rule_step)
+        return text
 
     def translate_step(self, act: Act, rule_step: NarrationStep) -> str:
         """Translate one step: :meth:`translate_steps` on a batch of one."""
@@ -364,8 +392,7 @@ class _Translation:
         # still-pending decode count as misses (they are served by the
         # in-flight dedup, not by the cache)
         for act, rule_step in zip(acts, rule_steps):
-            source = act.input_tokens()
-            key = make_key(source, self.beam_size, self.precision)
+            key = make_key(act.signature, self.beam_size, self.precision)
             self.queue.append((act, rule_step, key))
             waiting[key] = waiting.get(key, 0) + 1
             cached = lookup(key)
@@ -374,7 +401,7 @@ class _Translation:
             elif key not in resolved:
                 resolved[key] = None
                 self.decoding[self.entered + len(sources)] = key
-                sources.append(source)
+                sources.append(act.input_tokens())
         self.entered += len(sources)
         return sources
 
@@ -396,7 +423,7 @@ class _Translation:
             if candidates is None:
                 break
             queue.popleft()
-            texts.append(neural._finalize(neural._pick_candidate(act, candidates), rule_step))
+            texts.append(neural._word(act, neural._pick_candidate(act, candidates), rule_step))
             if waiting[key] > 1:
                 waiting[key] -= 1
             else:

@@ -139,7 +139,15 @@ class OperatorNode:
 
 @dataclass
 class OperatorTree:
-    """A full QEP: the root operator plus provenance metadata."""
+    """A full QEP: the root operator plus provenance metadata.
+
+    Trees handed out by a :class:`~repro.plans.registry.PlanRegistry`
+    (``Lantern.parse_plan``, the service's and the router's ingest) are
+    read-only: the registry's ingest memo returns the same tree object for
+    every repeat of a text payload, so a mutation would reach every later
+    request for that payload.  Narration never mutates a tree; a caller
+    that wants to edit one edits a copy (``OperatorTree.from_dict(tree.to_dict())``).
+    """
 
     root: OperatorNode
     source: str = "postgresql"

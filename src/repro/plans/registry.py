@@ -20,6 +20,7 @@ endpoint returns exactly that list in its 400 response body.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -38,6 +39,14 @@ FORMAT_MYSQL_JSON = "mysql-json"
 FORMAT_TREE_JSON = "operator-tree-json"
 FORMAT_POSTGRES_JSON = "postgres-json"
 
+
+#: successful ingests of text payloads kept per registry (the ingest memo):
+#: a course's assignment plans repeat, and a TPC-H classroom's 22 queries in
+#: three dialects (66 payloads) fit
+INGEST_MEMO_SIZE = 128
+#: text payloads longer than this (in characters) are parsed but not kept,
+#: so large request bodies cannot pin memory in the memo
+INGEST_MEMO_MAX_CHARS = 64 * 1024
 
 #: what a parser may raise to mean "not this format".  RecursionError is a
 #: plan nested deeper than the interpreter's stack: a malformed payload, not
@@ -74,10 +83,24 @@ class PlanFormat:
 
 
 class PlanRegistry:
-    """Ordered, extensible dispatch from payloads to plan parsers."""
+    """Ordered, extensible dispatch from payloads to plan parsers.
+
+    Text payloads go through an ingest memo: a repeated ``(plan_format,
+    payload)`` pair returns the tree and format of its first successful
+    ingest, so a payload is parsed once per process while it stays among
+    the :data:`INGEST_MEMO_SIZE` most recently used.  Failures are not kept
+    (a bad payload fails the same way every time), nor are payloads over
+    :data:`INGEST_MEMO_MAX_CHARS`; decoded objects (dicts, lists, trees,
+    engine plans) always parse afresh.  A memoized tree is shared by every
+    caller that submits the same text, so registry trees are read-only
+    (see :class:`~repro.plans.operator_tree.OperatorTree`).
+    """
 
     def __init__(self, formats: Optional[list[PlanFormat]] = None) -> None:
         self._formats: list[PlanFormat] = list(formats or [])
+        # functools.lru_cache is thread-safe, keeps no failed call, and a
+        # cached call costs one hash of the payload text
+        self._memo = functools.lru_cache(maxsize=INGEST_MEMO_SIZE)(self._ingest)
 
     def register(self, plan_format: PlanFormat, index: Optional[int] = None) -> None:
         """Add a format (at ``index`` to control auto-detection priority)."""
@@ -88,6 +111,8 @@ class PlanRegistry:
             self._formats.append(plan_format)
         else:
             self._formats.insert(index, plan_format)
+        # a new format can change what a remembered payload detects as
+        self._memo.cache_clear()
 
     def formats(self) -> list[str]:
         """Registered format names, in detection order."""
@@ -151,8 +176,25 @@ class PlanRegistry:
         detector with a failing parser does not abort the search.  When
         nothing succeeds — or a payload is malformed for an explicitly named
         format — the raised :class:`PlanDetectionError` records each
-        attempted format and why it was rejected.
+        attempted format and why it was rejected.  Text payloads are
+        memoized (see :class:`PlanRegistry`).
         """
+        if self.memoizable(payload, plan_format):
+            return self._memo(payload, plan_format)
+        return self._ingest(payload, plan_format)
+
+    @staticmethod
+    def memoizable(payload: Any, plan_format: Any = None) -> bool:
+        """Whether :meth:`ingest` keeps ``payload``'s tree for repeats: text
+        of at most :data:`INGEST_MEMO_MAX_CHARS` characters, with no format
+        or a format named by a string."""
+        return (
+            isinstance(payload, str)
+            and len(payload) <= INGEST_MEMO_MAX_CHARS
+            and (plan_format is None or isinstance(plan_format, str))
+        )
+
+    def _ingest(self, payload: Any, plan_format: Optional[str]) -> tuple[OperatorTree, str]:
         try:
             prepared = self._prepare(payload)
         except RecursionError as error:

@@ -55,7 +55,8 @@ from typing import Any, Optional
 from repro.errors import FleetError, RequestError, ServiceError, ServiceTimeoutError
 from repro.obs.prometheus import PrometheusWriter
 from repro.obs.tracing import NOOP_SPAN, Span, TraceStore, Tracer
-from repro.plans.registry import default_registry
+from repro.plans.operator_tree import OperatorTree
+from repro.plans.registry import INGEST_MEMO_SIZE, default_registry
 from repro.service.client import LanternClient
 from repro.service.fleet.ring import (
     DEFAULT_REPLICAS,
@@ -200,6 +201,11 @@ class LanternFleet:
         if self.config.num_workers < 1:
             raise FleetError("a fleet needs at least one worker")
         self.registry = default_registry()
+        #: routing signatures of the trees the registry's ingest memo hands
+        #: out, by tree identity (the tree is held, so its id cannot be
+        #: reused); the router never edits a tree, so a signature stays valid.
+        #: At most INGEST_MEMO_SIZE entries, like the memo itself
+        self._signatures: dict[int, tuple[OperatorTree, str]] = {}
         self.telemetry = ServiceTelemetry()
         self.tracer = Tracer(
             enabled=self.config.tracing_enabled,
@@ -329,10 +335,16 @@ class LanternFleet:
         successor spawn (same worker id, so the shard is unchanged) → cache
         import → back in the ring → old process terminated.  In-flight
         narrations finish on the old process; new ones never see it.
+        ``None`` restarts every worker; an empty list is refused.
         """
+        if worker_ids is not None and not worker_ids:
+            raise RequestError(
+                'a restart order must name at least one worker; omit "workers" '
+                "to restart every worker"
+            )
         with self._lock:
             known = sorted(self.workers)
-        targets = list(worker_ids) if worker_ids else known
+        targets = known if worker_ids is None else list(worker_ids)
         unknown = [wid for wid in targets if wid not in known]
         if unknown:
             raise RequestError(f"unknown workers: {unknown}")
@@ -434,8 +446,20 @@ class LanternFleet:
     # ------------------------------------------------------------------
 
     def signature_of(self, plan: Any, plan_format: Optional[str] = None) -> str:
-        """Ingest a wire plan and return its routing signature."""
-        return plan_routing_signature(self.registry.parse(plan, plan_format))
+        """Ingest a wire plan and return its routing signature.
+
+        A repeated text plan comes back from the registry's ingest memo as
+        the same tree, and its signature is then looked up, not recomputed.
+        """
+        tree = self.registry.parse(plan, plan_format)
+        if not self.registry.memoizable(plan, plan_format):
+            return plan_routing_signature(tree)
+        known = self._signatures.get(id(tree))
+        if known is None or known[0] is not tree:
+            if len(self._signatures) >= INGEST_MEMO_SIZE:
+                self._signatures.clear()
+            known = self._signatures[id(tree)] = (tree, plan_routing_signature(tree))
+        return known[1]
 
     def narrate_items(
         self, body: Any, span: Span = NOOP_SPAN
@@ -774,8 +798,7 @@ class LanternFleet:
             f"  GET  {url}/trace              (router→worker span trees)",
             f"  GET  {url}/healthz",
         ]
-        print("\n".join(lines), flush=True)
-        run_until_signalled(self.stop)
+        run_until_signalled(self.stop, lambda: print("\n".join(lines), flush=True))
 
 
 def _make_router_handler(fleet: LanternFleet) -> type[FrontEnd]:

@@ -420,14 +420,18 @@ def make_front_end(
     return type("FrontEnd", (FrontEnd,), attributes)
 
 
-def run_until_signalled(stop: Callable[[], None]) -> None:
-    """Block until SIGTERM or SIGINT, then run ``stop``: the one way every
-    serving process (a service, a fleet worker, a fleet router) stops.
+def run_until_signalled(stop: Callable[[], None], announce: Callable[[], None]) -> None:
+    """Install the SIGTERM and SIGINT handlers, run ``announce``, block
+    until either signal, then run ``stop``: the one way every serving
+    process (a service, a fleet worker, a fleet router) stops.
 
-    The handlers only record the signal, so one arriving while ``stop`` runs
-    (a Ctrl-C reaches the router and its workers, then the router's own
-    SIGTERM follows) cannot cut the orderly stop short, and the process
-    exits 0.  Call from the main thread.
+    ``announce`` prints the ``listening on`` line.  It runs only once the
+    handlers are in place, so a signal sent as soon as that line is read
+    (a router stopping a worker it just spawned) is not met by Python's
+    default handlers.  The handlers only record the signal, so one arriving
+    while ``stop`` runs (a Ctrl-C reaches the router and its workers, then
+    the router's own SIGTERM follows) cannot cut the orderly stop short,
+    and the process exits 0.  Call from the main thread.
     """
     received: list[int] = []
     previous = {
@@ -435,6 +439,7 @@ def run_until_signalled(stop: Callable[[], None]) -> None:
         for number in (signal.SIGTERM, signal.SIGINT)
     }
     try:
+        announce()
         while not received:
             time.sleep(0.1)
     finally:

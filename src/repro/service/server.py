@@ -425,21 +425,21 @@ class LanternService:
     def serve_forever(self) -> None:
         """Blocking convenience used by ``python -m repro.service``.
 
-        The ``listening on`` line goes out flushed: a fleet router reads it
-        from a spawned worker's stdout pipe to learn the bound port.
-        SIGTERM and SIGINT both run :meth:`drain_and_stop`.
+        The ``listening on`` line goes out flushed, once the signal
+        handlers are installed: a fleet router reads it from a spawned
+        worker's stdout pipe to learn the bound port.  SIGTERM and SIGINT
+        both run :meth:`drain_and_stop`.
         """
         host, port = self.start()
         url = f"http://{host}:{port}"
-        print(
+        banner = (
             f"LANTERN-SERVE listening on {url}\n"
             f"  POST {url}/narrate\n"
             f"  GET  {url}/metrics   (?format=prometheus)\n"
             f"  GET  {url}/trace\n"
-            f"  GET  {url}/healthz",
-            flush=True,
+            f"  GET  {url}/healthz"
         )
-        run_until_signalled(self.drain_and_stop)
+        run_until_signalled(self.drain_and_stop, lambda: print(banner, flush=True))
 
 
 def _narration_to_dict(narration: Narration) -> dict[str, Any]:

@@ -17,6 +17,8 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.service.client import LanternClient
 from repro.service.server import LISTENING_LINE
@@ -67,6 +69,26 @@ def _running(pid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_signal_sent_on_the_ready_line_runs_the_orderly_stop(signum):
+    """The ready line is announced only once the handlers are installed, so
+    a signal sent the moment it is read runs ``stop`` instead of killing the
+    process (a service exited -2 after such a SIGINT on a busy machine)."""
+    script = (
+        "import os\n"
+        "from repro.service.frontend import run_until_signalled\n"
+        "run_until_signalled(lambda: print('stopped'), "
+        f"lambda: os.kill(os.getpid(), {int(signum)}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_ROOT, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=EXIT_DEADLINE_S,
+    )
+    assert (done.returncode, done.stdout) == (0, "stopped\n"), done.stderr
 
 
 def test_service_exits_0_after_sigterm(tmp_path):

@@ -99,6 +99,30 @@ class TestRoutingSignature:
             registry.parse(_sort_plan())
         ) != plan_routing_signature(registry.parse(_join_plan()))
 
+    def test_router_computes_a_repeated_text_plans_signature_once(self, monkeypatch):
+        """The router keeps the signature of each tree the ingest memo hands
+        out; decoded plans are signed afresh every time."""
+        import json
+
+        from repro.service.fleet import router
+
+        fleet = LanternFleet(FleetConfig(num_workers=1))
+        text = json.dumps(_join_plan())
+        expected = plan_routing_signature(default_registry().parse(text))
+        calls = []
+
+        def counting(tree):
+            calls.append(tree)
+            return plan_routing_signature(tree)
+
+        monkeypatch.setattr(router, "plan_routing_signature", counting)
+        assert [fleet.signature_of(text) for _ in range(3)] == [expected] * 3
+        assert len(calls) == 1
+        assert fleet.signature_of(json.loads(text)) == expected
+        assert fleet.signature_of(json.loads(text)) == expected
+        assert len(calls) == 3
+        assert len(fleet._signatures) == 1
+
 
 # ---------------------------------------------------------------------------
 # consistent-hash ring
@@ -568,13 +592,14 @@ class TestFleetErrorContract:
     @pytest.mark.parametrize(
         "body",
         [[1], "x", 5, {"workers": 5}, {"workers": "w0"}, {"workers": ["w0", 1]},
-         {"worker": 5}, {"worker": ["w0"]}],
+         {"worker": 5}, {"worker": ["w0"]}, {"workers": []}],
     )
     def test_bad_restart_order_is_a_bad_request(self, live_fleet, body):
         """A restart order that is not an object, or whose ``workers`` is not
-        a list of worker ids (``worker``: not one id), is a 400 that restarts
-        nothing — refused for its shape, not looked up (``"w0"`` was split
-        into the unknown workers ``['w', '0']``)."""
+        a non-empty list of worker ids (``worker``: not one id), is a 400
+        that restarts nothing — refused for its shape, not looked up
+        (``"w0"`` was split into the unknown workers ``['w', '0']``, and
+        ``[]`` rolled the whole fleet)."""
         fleet, client = live_fleet
         generations = {wid: handle.generation for wid, handle in fleet.workers.items()}
         status, reply = client.request_json("POST", "/admin/restart", body)

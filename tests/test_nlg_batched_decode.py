@@ -304,3 +304,71 @@ class TestCachedGeneration:
             trained_neural.decode_cache.clear()
             trained_neural._act_exposure.clear()
             trained_neural._act_exposure.update(exposure_before)
+
+
+class TestWordingMemo:
+    """Finished texts are kept per (rule step, candidate) on the act, and a
+    replaced candidate list is never served the texts of the old one."""
+
+    SQL = (
+        "SELECT i.venue, count(*) AS n FROM inproceedings i, publication p "
+        "WHERE i.paper_key = p.pub_key AND p.year > 2001 GROUP BY i.venue"
+    )
+
+    def test_replaced_candidates_are_worded_afresh(self, dblp_db, trained_neural):
+        from repro.core.lantern import Lantern, LanternConfig
+        from repro.nlg.tokenizer import detokenize
+
+        neural = NeuralLantern(trained_neural.model, beam_size=2)
+        facade = Lantern(neural=neural, config=LanternConfig(seed=None))
+        tree = facade.plan_for_sql(dblp_db, self.SQL)
+        facade.describe_plan(tree, mode="neural")  # cold: decodes every signature
+        warm = facade.describe_plan(tree, mode="neural")
+        ((_, memo_entry),) = facade._rule_memo._entries.items()
+        acts = memo_entry.acts
+        target = acts[0]
+        positions = [i for i, act in enumerate(acts) if act.key == target.key]
+        replacement = [["the", "first", "new", "wording", "of", "<T>"], ["a", "second", "one"]]
+        cache = neural.decode_cache
+        cache.import_rows(
+            [[list(target.signature), 2, trained_neural.model.precision, replacement]],
+            legacy_precision=trained_neural.model.precision,
+        )
+        for _ in range(3):  # the new list is used, then cycled through
+            exposure = neural._act_exposure[target.key]
+            lookups = cache.hits + cache.misses
+            narration = facade.describe_plan(tree, mode="neural")
+            assert cache.hits + cache.misses == lookups + len(acts)
+            for offset, position in enumerate(positions):
+                step = memo_entry.steps[position]
+                chosen = replacement[(exposure + offset) % len(replacement)]
+                expected = neural._finalize(detokenize(chosen), step)
+                assert narration.steps[position].text == expected
+                assert narration.steps[position].text != warm.steps[position].text
+
+    def test_texts_are_kept_per_rule_step(self, tiny_model):
+        neural = NeuralLantern(tiny_model, beam_size=1)
+        act, step = _act_and_step()
+        _, other = _act_and_step()
+        other.relations = ["inproceedings"]
+        other.filter_condition = "venue = 'VLDB'"
+        reference = NeuralLantern(tiny_model, beam_size=1)
+        for rule_step in (step, other, step, other):
+            text = neural.translate_step(act, rule_step)
+            fresh_act, _ = _act_and_step()  # same structure, no kept texts
+            assert text == reference.translate_step(fresh_act, rule_step)
+        assert act.wordings is not None and act.wordings[0] is other
+
+    def test_a_repeated_act_is_worded_once_per_candidate(self, tiny_model, monkeypatch):
+        neural = NeuralLantern(tiny_model, beam_size=3)
+        act, step = _act_and_step()
+        calls = []
+        finalize = neural._finalize
+        monkeypatch.setattr(
+            neural, "_finalize", lambda text, rule_step: calls.append(text) or finalize(text, rule_step)
+        )
+        texts = [neural.translate_step(act, step) for _ in range(9)]
+        candidates = [c for c in tiny_model.beam_decode_batch([act.input_tokens()], beam_size=3)[0] if c]
+        assert len(calls) == len({tuple(c) for c in candidates})
+        assert texts[: len(candidates)] == texts[len(candidates) : 2 * len(candidates)]
+

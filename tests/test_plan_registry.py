@@ -27,6 +27,8 @@ from repro.plans.registry import (
     FORMAT_POSTGRES_JSON,
     FORMAT_SQLSERVER_XML,
     FORMAT_TREE_JSON,
+    INGEST_MEMO_MAX_CHARS,
+    INGEST_MEMO_SIZE,
     PlanFormat,
 )
 
@@ -240,6 +242,158 @@ class TestRegistry:
     def test_lantern_owns_a_registry(self, lantern):
         assert isinstance(lantern.registry, PlanRegistry)
         assert FORMAT_MYSQL_JSON in lantern.registry.formats()
+
+
+class TestIngestMemo:
+    """Repeated text payloads are parsed once per registry."""
+
+    @pytest.fixture(scope="class")
+    def text(self, dblp_db):
+        return dblp_db.explain(
+            "SELECT count(*) FROM publication p WHERE p.year > 2005", output_format="json"
+        )
+
+    @staticmethod
+    def _kept(registry: PlanRegistry) -> int:
+        return registry._memo.cache_info().currsize
+
+    def test_same_text_and_format_give_the_same_tree(self, text):
+        registry = default_registry()
+        tree, plan_format = registry.ingest(text)
+        assert registry.ingest(text) == (tree, plan_format)
+        assert registry.parse(text) is tree
+        assert self._kept(registry) == 1
+        named = registry.parse(text, "json")
+        assert named is not tree and registry.parse(text, "json") is named
+        assert registry.parse(text, "pg") is not named  # the requested name keys
+        assert self._kept(registry) == 3
+
+    def test_a_failing_payload_is_not_kept(self):
+        registry = default_registry()
+        for payload, plan_format in (("SELECT this is not a plan", None), ("{not json", "json")):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(PlanDetectionError) as excinfo:
+                    registry.ingest(payload, plan_format)
+                errors.append(excinfo.value)
+            assert errors[0] is not errors[1]
+            assert str(errors[0]) == str(errors[1])
+            assert errors[0].attempted_formats == errors[1].attempted_formats
+        assert self._kept(registry) == 0
+
+    def test_a_format_that_is_not_a_string_is_still_a_detection_error(self, text):
+        registry = default_registry()
+        with pytest.raises(PlanDetectionError, match="unknown plan format"):
+            registry.ingest(text, ["json"])
+
+    def test_register_empties_the_memo(self, text):
+        registry = default_registry()
+        tree = registry.parse(text)
+        sentinel = OperatorTree.from_dict({"root": {"name": "Seq Scan"}})
+        registry.register(
+            PlanFormat("everything", detector=lambda payload: True, parser=lambda payload: sentinel),
+            index=0,
+        )
+        assert self._kept(registry) == 0
+        assert registry.ingest(text) == (sentinel, "everything")
+        assert registry.parse(text) is not tree
+
+    def test_the_memo_is_bounded(self, text):
+        registry = default_registry()
+        # leading whitespace makes distinct payloads that parse the same
+        for padding in range(INGEST_MEMO_SIZE + 10):
+            registry.parse(" " * padding + text)
+            assert self._kept(registry) <= INGEST_MEMO_SIZE
+        assert self._kept(registry) == INGEST_MEMO_SIZE
+        oversized = text + " " * INGEST_MEMO_MAX_CHARS
+        first, second = registry.parse(oversized), registry.parse(oversized)
+        assert first is not second
+        assert first.to_dict() == second.to_dict() == registry.parse(text).to_dict()
+        at_cap = text + " " * (INGEST_MEMO_MAX_CHARS - len(text))
+        assert registry.parse(at_cap) is registry.parse(at_cap)
+
+    def test_decoded_payloads_bypass_the_memo(self, text):
+        registry = default_registry()
+        document = json.loads(text)
+        first, second = registry.parse(document), registry.parse(document)
+        assert first is not second and first.to_dict() == second.to_dict()
+        assert registry.parse(first) is first  # trees pass through as before
+        assert self._kept(registry) == 0
+
+    def test_concurrent_ingests_get_their_own_payloads_tree(self, text):
+        """Handler threads share one memo: under evictions and frequent
+        thread switches every ingest still gets the tree of its payload."""
+        import sys
+        import threading
+
+        from repro.service.fleet import FleetConfig, LanternFleet, plan_routing_signature
+
+        registry = default_registry()
+        fleet = LanternFleet(FleetConfig(num_workers=1))
+        # more distinct payloads than the memo holds, so entries are evicted
+        # while other threads read them; each padding is a different plan
+        payloads = [" " * padding + text for padding in range(INGEST_MEMO_SIZE + 32)]
+        expected = json.dumps(registry.parse(text).to_dict(), sort_keys=True)
+        signature = plan_routing_signature(registry.parse(text))
+        failures: list[str] = []
+
+        def hammer(offset: int) -> None:
+            for index in range(400):
+                payload = payloads[(offset * 37 + index * 11) % len(payloads)]
+                tree = registry.parse(payload)
+                if json.dumps(tree.to_dict(), sort_keys=True) != expected:
+                    failures.append("tree")
+                if fleet.signature_of(payload) != signature:
+                    failures.append("signature")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert self._kept(registry) <= INGEST_MEMO_SIZE
+        assert len(fleet._signatures) <= INGEST_MEMO_SIZE
+
+    def test_narration_leaves_memoized_trees_unchanged(self, tpch_db, trained_neural):
+        """Every classroom payload, narrated in every mode and presentation
+        through the service, leaves the tree its memo holds as it was."""
+        from repro.core.presentation import PRESENTATION_MODES
+        from repro.nlg.neural_lantern import NeuralLantern
+        from repro.service.server import LanternService
+        from repro.workloads import tpch_queries
+
+        payloads = [
+            tpch_db.explain(query.sql, output_format=dialect)
+            for query in tpch_queries()
+            for dialect in ("json", "xml", "mysql")
+        ]
+        neural = NeuralLantern(trained_neural.model, beam_size=2)
+        service = LanternService(Lantern(neural=neural, config=LanternConfig(seed=None)))
+        registry = service.lantern.registry
+        trees = [registry.parse(payload) for payload in payloads]
+        before = [json.dumps(tree.to_dict(), sort_keys=True) for tree in trees]
+        service.batcher.start()
+        try:
+            for mode in ("rule", "neural", "auto"):
+                for presentation in (None, *PRESENTATION_MODES):
+                    body = {"plans": payloads, "mode": mode}
+                    if presentation is not None:
+                        body["presentation"] = presentation
+                    items = service.narrate_items(body)
+                    assert all("narration" in item for item in items), mode
+        finally:
+            service.batcher.stop()
+        assert self._kept(registry) == len(set(payloads))
+        for payload, tree, document in zip(payloads, trees, before):
+            assert registry.parse(payload) is tree
+            assert json.dumps(tree.to_dict(), sort_keys=True) == document
 
 
 def _deep_postgres(levels: int) -> list:
