@@ -2,9 +2,10 @@
 
 The acceptance bar for the observability layer: with the rule memo warm (the
 service's steady state for repeated plan shapes), running every request under
-a full span tree — root span, read-body/admission/queue/batch/decode/wake/
-finalize/respond children, tags, and the finished-trace hand-off into the
-``GET /trace`` store — costs at most 5% of the end-to-end request.
+a full span tree — root span, read-body/admission/decode/finalize/respond
+children (a rule request is narrated on its handler thread, so it has no
+queue stages), tags, and the finished-trace hand-off into the ``GET /trace``
+store — costs at most 5% of the end-to-end request.
 
 Methodology: an A/B latency comparison over loopback HTTP cannot resolve a
 few microseconds under scheduler noise (closed-loop round-trip times swing
@@ -12,7 +13,7 @@ by 20%+ between rounds on a shared box), so the two sides are measured
 separately where each is stable:
 
 * **span machinery** — the exact per-request span shape the serving path
-  builds (9 spans, same tags, store hand-off) is timed directly over many
+  builds (6 spans, same tags, store hand-off) is timed directly over many
   iterations; this is deterministic CPU work with microsecond stability.
 * **request latency** — warm closed-loop ``POST /narrate`` over real HTTP,
   scored by the median round (min-of-rounds latches onto lucky scheduler
@@ -63,27 +64,17 @@ MAX_OVERHEAD_FRACTION = 0.05
 
 
 def _request_span_shape(tracer: Tracer) -> None:
-    """Replays the exact span work one traced POST /narrate performs."""
+    """Replays the exact span work one traced rule-mode POST /narrate performs."""
     root = tracer.trace("POST /narrate")
     with root:
-        with root.child("read_body"):
-            pass
-        with root.child("admission"):
-            pass
-        root.tag(format="postgres-json", mode="rule")
         now = root.start
-        root.add_child_at("queue_wait", now, now + 0.0001)
-        root.add_child_at("batch_assembly", now, now + 0.0001)
-        root.add_child_at(
-            "decode", now, now + 0.0001,
-            batch_size=1, mode="rule", precision="rule", cache_hits=0, cache_misses=0,
-        )
-        root.add_child_at("wake", now, now + 0.0001)
-        with root.child("finalize"):
-            pass
-        with root.child("respond", status=200):
-            pass
+        root.add_child_at("read_body", now, now + 0.0001)
+        root.tag(format="postgres-json", mode="rule")
+        root.add_child_at("admission", now, now + 0.0001)
+        root.add_child_at("decode", now, now + 0.0001, batch_size=1, mode="rule")
+        root.add_child_at("finalize", now, now + 0.0001)
         root.tag(status=200)
+        root.add_child_at("respond", now, now + 0.0001, status=200)
 
 
 def _span_machinery_us() -> float:

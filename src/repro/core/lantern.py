@@ -229,6 +229,11 @@ class Lantern:
         )
         self._operator_counts: Counter[str] = Counter()
         self._narrators: dict[str, RuleLantern] = {}
+        #: held for each plan's rule phase: the serving layer narrates rule
+        #: requests on HTTP handler threads while its batch worker admits
+        #: neural-bound ones, and both venues share the rule memo,
+        #: habituation counts, narrator cache and a seeded narrator's rng
+        self._lock = threading.Lock()
         if (
             neural is not None
             and hasattr(neural, "configure_cache")
@@ -355,54 +360,57 @@ class Lantern:
         is decided *before* this plan's operators are recorded, and
         recording happens here so that in a batch each plan's routing sees
         the exposure counts of every plan narrated before it — exactly as in
-        sequential calls.
+        sequential calls.  It runs under the facade's lock, so concurrent
+        callers see the state of some sequential order of their plans.
         """
-        if mode not in (MODE_RULE, MODE_NEURAL, MODE_AUTO):
-            raise NarrationError(f"unknown narration mode {mode!r}")
-        narrator = self._narrator_for(tree.source)
-        # the rule-phase memo: under a deterministic narrator, plans with the
-        # same structure produce the same steps/LOT/acts, so repeated plan
-        # shapes (the serving steady state) skip rule narration entirely
-        memo_key = None
-        entry = None
-        if self._rule_memo is not None:
-            memo_key = (tree.source, _tree_signature(tree.root))
-            entry = self._rule_memo.get(memo_key)
-        if entry is None:
-            narration = narrator.narrate(tree)
+        with self._lock:
+            if mode not in (MODE_RULE, MODE_NEURAL, MODE_AUTO):
+                raise NarrationError(f"unknown narration mode {mode!r}")
+            narrator = self._narrator_for(tree.source)
+            # the rule-phase memo: under a deterministic narrator, plans with the
+            # same structure produce the same steps/LOT/acts, so repeated plan
+            # shapes (the serving steady state) skip rule narration entirely
+            memo_key = None
+            entry = None
             if self._rule_memo is not None:
-                entry = _MemoEntry(steps=tuple(narration.steps), lot=narration.lot)
-                self._rule_memo.put(memo_key, entry)
-        else:
-            narration = Narration(
-                steps=list(entry.steps),
-                source=tree.source,
-                query_text=tree.query_text,
-                lot=entry.lot,
-                generator="rule",
-            )
-        if mode == MODE_RULE or self.neural is None:
-            self._record_operators(narration)
-            return narration, [], False
-        if entry is not None:
-            if entry.acts is None:
-                entry.acts = align_acts_with_narration(
-                    decompose_lot_into_acts(narration.lot), narration
+                memo_key = (tree.source, _tree_signature(tree.root))
+                entry = self._rule_memo.get(memo_key)
+            if entry is None:
+                narration = narrator.narrate(tree)
+                if self._rule_memo is not None:
+                    entry = _MemoEntry(steps=tuple(narration.steps), lot=narration.lot)
+                    self._rule_memo.put(memo_key, entry)
+            else:
+                narration = Narration(
+                    steps=list(entry.steps),
+                    source=tree.source,
+                    query_text=tree.query_text,
+                    lot=entry.lot,
+                    generator="rule",
                 )
-            acts = entry.acts
-        else:
-            acts = align_acts_with_narration(
-                decompose_lot_into_acts(narration.lot), narration
-            )
-        neural_bound: list[tuple[int, Act, NarrationStep]] = []
-        for position, (act, step) in enumerate(zip(acts, narration.steps)):
-            use_neural = mode == MODE_NEURAL or (
-                mode == MODE_AUTO and self._is_habituated(step)
-            )
-            if use_neural:
-                neural_bound.append((position, act, step))
-        self._record_operators(narration)
-        return narration, neural_bound, True
+            neural_path = mode != MODE_RULE and self.neural is not None
+            neural_bound: list[tuple[int, Act, NarrationStep]] = []
+            if neural_path:
+                if entry is not None:
+                    if entry.acts is None:
+                        entry.acts = align_acts_with_narration(
+                            decompose_lot_into_acts(narration.lot), narration
+                        )
+                    acts = entry.acts
+                else:
+                    acts = align_acts_with_narration(
+                        decompose_lot_into_acts(narration.lot), narration
+                    )
+                for position, (act, step) in enumerate(zip(acts, narration.steps)):
+                    use_neural = mode == MODE_NEURAL or (
+                        mode == MODE_AUTO and self._is_habituated(step)
+                    )
+                    if use_neural:
+                        neural_bound.append((position, act, step))
+            for step in narration.steps:
+                for name in step.operator_names:
+                    self._operator_counts[name.lower()] += 1
+            return narration, neural_bound, neural_path
 
     def _assemble_neural(
         self,
@@ -494,7 +502,8 @@ class Lantern:
 
     def reset_session(self) -> None:
         """Forget per-learner operator exposure counts."""
-        self._operator_counts.clear()
+        with self._lock:
+            self._operator_counts.clear()
 
     def rule_memo_stats(self) -> Optional[dict]:
         """Hit/miss counters of the rule-phase memo (None when disabled)."""
@@ -502,11 +511,6 @@ class Lantern:
 
     def operator_exposure(self, operator_name: str) -> int:
         return self._operator_counts[operator_name.lower()]
-
-    def _record_operators(self, narration: Narration) -> None:
-        for step in narration.steps:
-            for name in step.operator_names:
-                self._operator_counts[name.lower()] += 1
 
     def _is_habituated(self, step: NarrationStep) -> bool:
         threshold = self.config.frequency_threshold

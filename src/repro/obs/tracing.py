@@ -77,7 +77,7 @@ NOOP_SPAN = _NoopSpan()
 class Span:
     """One timed, taggable stage; a context manager that closes itself."""
 
-    __slots__ = ("name", "trace_id", "start", "end", "tags", "children", "_tracer", "_parent", "started_at")
+    __slots__ = ("name", "trace_id", "start", "end", "tags", "children", "_tracer", "_root_start", "started_at")
 
     def __init__(
         self,
@@ -96,7 +96,11 @@ class Span:
         self.start = time.perf_counter()
         self.end: Optional[float] = None
         self._tracer = tracer
-        self._parent = parent
+        #: the root's start (None on a root).  A child holds this number
+        #: rather than its parent, so a finished trace is a tree without
+        #: reference cycles: dropping it frees it at once instead of leaving
+        #: garbage for the cyclic collector on every request
+        self._root_start = None if parent is None else parent._root_start_or_own()
         #: wall-clock birth time (for log correlation; durations use
         #: perf_counter) — only roots report it, so only roots pay for it
         self.started_at = time.time() if parent is None else 0.0
@@ -135,7 +139,7 @@ class Span:
         span.start = start
         span.end = end
         span._tracer = self._tracer
-        span._parent = self
+        span._root_start = self._root_start_or_own()
         span.started_at = 0.0
         self._append_child(span)
         return span
@@ -171,7 +175,7 @@ class Span:
         self.end = time.perf_counter()
         if self._tracer is not None:
             self._tracer._pop(self)
-            if self._parent is None:
+            if self._root_start is None:
                 self._tracer._finish_root(self)
 
     @property
@@ -187,23 +191,20 @@ class Span:
             "name": self.name,
             "duration_ms": round(self.duration_s * 1000.0, 4),
         }
-        if self._parent is None:
+        if self._root_start is None:
             document["trace_id"] = self.trace_id
             document["started_at"] = round(self.started_at, 6)
         else:
             # child offsets let a renderer reconstruct the timeline
-            document["offset_ms"] = round((self.start - self._root().start) * 1000.0, 4)
+            document["offset_ms"] = round((self.start - self._root_start) * 1000.0, 4)
         if self.tags:
             document["tags"] = dict(self.tags)
         if self.children:
             document["children"] = [child.to_dict() for child in self.children]
         return document
 
-    def _root(self) -> "Span":
-        span = self
-        while span._parent is not None:
-            span = span._parent
-        return span
+    def _root_start_or_own(self) -> float:
+        return self.start if self._root_start is None else self._root_start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, {self.duration_s * 1000.0:.3f} ms, children={len(self.children or ())})"

@@ -97,7 +97,6 @@ def _parse_table(entry: Mapping[str, Any]) -> OperatorNode:
         attributes=attributes,
         estimated_rows=rows,
         estimated_cost=_cost(entry.get("cost_info")),
-        raw=dict(entry),
     )
 
 

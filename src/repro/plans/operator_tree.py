@@ -35,7 +35,6 @@ class OperatorNode:
     attributes: dict[str, Any] = field(default_factory=dict)
     estimated_rows: float = 0.0
     estimated_cost: float = 0.0
-    raw: dict[str, Any] = field(default_factory=dict)
 
     # -- attribute accessors ------------------------------------------------
 
@@ -114,8 +113,7 @@ class OperatorNode:
     # -- wire serialization --------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-safe dict of this node (``raw`` is dropped — it may hold
-        engine objects that do not survive serialization)."""
+        """A JSON-safe dict of this node."""
         return {
             "name": self.name,
             "attributes": dict(self.attributes),

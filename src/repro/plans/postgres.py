@@ -73,7 +73,6 @@ def _parse_node(entry: Mapping[str, Any]) -> OperatorNode:
         attributes=attributes,
         estimated_rows=float(entry.get("Plan Rows", 0) or 0),
         estimated_cost=float(entry.get("Total Cost", 0.0) or 0.0),
-        raw=dict(entry),
     )
     for child in entry.get("Plans", []) or []:
         node.children.append(_parse_node(child))

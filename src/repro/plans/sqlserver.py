@@ -82,7 +82,6 @@ def _parse_relop(element: ElementTree.Element) -> OperatorNode:
         attributes=attributes,
         estimated_rows=float(element.get("EstimateRows", 0) or 0),
         estimated_cost=float(element.get("EstimatedTotalSubtreeCost", 0.0) or 0.0),
-        raw={"attrib": dict(element.attrib)},
     )
     for child in _find_all(element, "RelOp"):
         node.children.append(_parse_relop(child))

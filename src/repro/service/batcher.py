@@ -1,26 +1,31 @@
-"""The streaming narration queue at the heart of LANTERN-SERVE.
+"""The decode queue at the heart of LANTERN-SERVE.
 
-HTTP handler threads never touch the :class:`~repro.core.lantern.Lantern`
-directly: they :meth:`MicroBatcher.submit_many` parsed operator trees and
-block on per-request events.  A single worker thread drains the queue and
-drives one streaming :meth:`Lantern.describe_plans` run at a time, so
+Requests that can decode (``auto`` and ``neural``) reach the
+:class:`~repro.core.lantern.Lantern` through this queue: HTTP handler
+threads :meth:`MicroBatcher.submit_many` parsed operator trees and block on
+per-request events.  A single worker thread drains the queue and drives one
+streaming :meth:`Lantern.describe_plans` run at a time, so
 
 * concurrent requests **share one fused neural decode**: a request that
   queues while a beam search runs joins it at the next decode step (one
   padded encoder forward for the joiners, then every live beam of every
   request advances as one row of the same step), up to ``max_batch_size``
   requests in flight, and each request is answered as soon as it retires;
-* the facade's mutable state (habituation counters, wording-cycle
-  exposures, the POEM narrator cache) is only ever touched from one thread,
-  and requests are admitted and retired in arrival order, which is what
-  makes streamed narrations **token-identical** to sequential
-  ``describe_plan`` calls in arrival order.
+* the generator's mutable state (wording-cycle exposures, the decode run)
+  is only ever touched from one thread, and requests are admitted and
+  retired in arrival order, which is what makes streamed narrations
+  **token-identical** to sequential ``describe_plan`` calls in arrival
+  order.
 
 A lone request adds no wait: the worker starts a run as soon as one is
-queued, and nothing it runs waits for companions.
+queued, and nothing it runs waits for companions.  A ``rule`` request has
+no decode to fuse, so the serving layer narrates it on its own handler
+thread instead; the facade's lock serializes its rule phase with the
+worker's (see :meth:`MicroBatcher.reserve`).
 
-Admission control is a bounded queue: when ``max_queue_depth`` requests are
-already waiting, a submission gets
+Admission control is one bound shared by both venues: when
+``max_queue_depth`` narrations are already queued here or
+:meth:`~MicroBatcher.reserve`-d by handler threads, a submission gets
 :class:`~repro.errors.ServiceOverloadError` immediately and the HTTP layer
 answers 429 — shedding load beats collapsing under it.
 """
@@ -102,6 +107,9 @@ class MicroBatcher:
         )
         self._worker: Optional[threading.Thread] = None
         self._stopping = threading.Event()
+        #: narrations handler threads run themselves (:meth:`reserve`)
+        self._reserved = 0
+        self._reserve_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -154,6 +162,32 @@ class MicroBatcher:
     @property
     def queue_depth(self) -> int:
         return self._queue.qsize()
+
+    @property
+    def reserved(self) -> int:
+        """Narrations admitted by :meth:`reserve` and not yet released."""
+        return self._reserved
+
+    def overloaded(self) -> ServiceOverloadError:
+        """The error a narration refused by the shared bound gets."""
+        return ServiceOverloadError(
+            f"narration queue is full ({self.config.max_queue_depth} waiting); retry later"
+        )
+
+    def reserve(self, count: int) -> int:
+        """Admit up to ``count`` narrations that the calling thread runs
+        itself (the serving layer's rule requests).  They share
+        ``max_queue_depth`` with the queue; returns how many fit, which the
+        caller hands back with :meth:`release` once they are answered."""
+        with self._reserve_lock:
+            granted = min(count, self.config.max_queue_depth - self._queue.qsize() - self._reserved)
+            granted = max(granted, 0)
+            self._reserved += granted
+        return granted
+
+    def release(self, count: int) -> None:
+        with self._reserve_lock:
+            self._reserved -= count
 
     @property
     def draining(self) -> bool:
@@ -220,13 +254,13 @@ class MicroBatcher:
             request = _PendingRequest(tree, mode, request_span)
             request.enqueued_at = submitted_at
             try:
+                if self._reserved and (
+                    self._queue.qsize() + self._reserved >= self.config.max_queue_depth
+                ):
+                    raise queue.Full
                 self._queue.put_nowait(request)
             except queue.Full:
-                results.append(
-                    ServiceOverloadError(
-                        f"narration queue is full ({self.config.max_queue_depth} waiting); retry later"
-                    )
-                )
+                results.append(self.overloaded())
                 continue
             pending.append((len(results), request))
             results.append(None)
@@ -280,6 +314,8 @@ class MicroBatcher:
         Requests already answered (failed fast by submit's liveness
         re-check before a worker started) are dropped, not narrated again.
         """
+        if wait_s <= 0 and self._queue.empty():
+            return []  # the common case between decode steps: skip raising queue.Empty
         room = self.config.max_batch_size if room is None else room
         batch: list[_PendingRequest] = []
         while len(batch) < room:

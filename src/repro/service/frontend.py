@@ -289,9 +289,10 @@ class FrontEnd(BaseHTTPRequestHandler):
                 if self.span:
                     payload["trace_id"] = self.span.trace_id
                 respond_started = time.perf_counter()
-                with self.span.child("respond", status=status):
-                    self._send(status, payload)
-                    self.telemetry.record_stage("respond", time.perf_counter() - respond_started)
+                self._send(status, payload)
+                responded = time.perf_counter()
+                self.span.add_child_at("respond", respond_started, responded, status=status)
+                self.telemetry.record_stage("respond", responded - respond_started)
             else:
                 self._send(status, payload)
         self.telemetry.record_request(
@@ -303,7 +304,8 @@ class FrontEnd(BaseHTTPRequestHandler):
 
     def _read_body(self, required: bool = True) -> Any:
         """The decoded JSON body (``None`` when absent and not ``required``)."""
-        with self.span.child("read_body"):
+        started = time.perf_counter()
+        try:
             length = self._unread
             if length <= 0:
                 if not required:
@@ -318,6 +320,8 @@ class FrontEnd(BaseHTTPRequestHandler):
             except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
                 # RecursionError: a body nested deeper than the decoder recurses
                 raise RequestError(f"invalid JSON body: {error}") from error
+        finally:
+            self.span.add_child_at("read_body", started, time.perf_counter())
 
     def _send(self, status: int, payload: Any) -> None:
         """Write the status line, headers and body as one buffer."""

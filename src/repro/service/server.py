@@ -3,10 +3,11 @@
 Pure stdlib (:class:`http.server.ThreadingHTTPServer`), so the serving layer
 deploys anywhere the library does.  The HTTP plumbing is the shared route
 table front end of :mod:`repro.service.frontend`.  Handler threads parse and
-validate payloads, then hand the operator trees to the shared
-:class:`~repro.service.batcher.MicroBatcher`; narration itself always runs
-on the batcher's single worker thread, which is what lets concurrent
-requests share one fused neural decode per batch window.
+validate payloads.  A ``rule`` request is then narrated on its own handler
+thread: it has no decode to fuse, and the facade's lock serializes its rule
+phase with everyone else's.  ``auto`` and ``neural`` requests go to the
+shared :class:`~repro.service.batcher.MicroBatcher`, whose single worker
+thread lets concurrent requests share one fused neural decode.
 
 ``POST /narrate`` request body (JSON)::
 
@@ -21,8 +22,8 @@ requests share one fused neural decode per batch window.
 A ``"plans": [...]`` list in place of ``"plan"`` narrates many plans; a
 single plan is that batch of one, unwrapped.  Responses: 200 with the
 narration document, 400 for malformed payloads (including the registry's
-attempted-format list), 429 when the admission queue is full, 503 when a
-narration times out — the one table in
+attempted-format list), 429 when ``max_queue_depth`` narrations are already
+waiting on either venue, 503 when a narration times out — the one table in
 :func:`repro.service.frontend.error_response`.
 """
 
@@ -33,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 from http.server import ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.core.lantern import MODE_AUTO, MODE_NEURAL, MODE_RULE, Lantern
 from repro.core.narration import Narration
@@ -164,45 +165,32 @@ class LanternService:
 
         Envelope problems (draining, not an object, no plans, an unknown
         ``mode`` or ``presentation``) raise and fail the whole request.
-        Every plan is then ingested, all of them enter the micro-batch queue
-        in one :meth:`MicroBatcher.submit_many` pass (an idle worker fuses
-        them into one decode), and each gets its own item: the narration, or
-        its error body with its ``status``.  ``span`` is the request's root
-        span: validation and ingest run under an ``admission`` child, and
-        the batch worker attaches the queue and decode stages.
+        Every plan is then ingested and narrated, and each gets its own
+        item: the narration, or its error body with its ``status``.  A
+        ``rule`` request is narrated right here (:meth:`_narrate_here`);
+        other modes enter the micro-batch queue in one
+        :meth:`MicroBatcher.submit_many` pass (an idle worker fuses them into
+        one decode).  ``span`` is the request's root span: the ``admission``,
+        ``decode`` and ``finalize`` stages are attached to it from clock
+        readings, and a queued request's worker adds its queue stages.
         """
-        admission_started = time.perf_counter()
-        with span.child("admission"):
-            if self.draining:
-                raise ServiceDrainingError("this worker is draining for restart; retry elsewhere")
-            plans = envelope_plans(body)
-            mode = body.get("mode", self.config.default_mode)
-            if mode not in _MODES:
-                raise RequestError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
-            presentation = body.get("presentation")
-            if presentation is not None and presentation not in PRESENTATION_MODES:
-                raise RequestError(
-                    f"unknown presentation {presentation!r}; "
-                    f"expected one of {list(PRESENTATION_MODES)}"
-                )
-            items: list[dict[str, Any]] = [{} for _ in plans]
-            ingested: list[tuple[int, OperatorTree, str]] = []
-            for index, plan in enumerate(plans):
-                try:
-                    tree, plan_format = self.lantern.registry.ingest(plan, body.get("format"))
-                except Exception as error:  # noqa: BLE001 - answered in this plan's item
-                    items[index] = error_item(error)
-                else:
-                    ingested.append((index, tree, plan_format))
-            span.tag(format=",".join(sorted({f for _, _, f in ingested})), mode=mode)
-            self.telemetry.record_stage("admission", time.perf_counter() - admission_started)
-
         started = time.perf_counter()
-        outcomes = self.batcher.submit_many(
-            [tree for _, tree, _ in ingested], [mode] * len(ingested), span=span
-        )
-        latency_ms = round((time.perf_counter() - started) * 1000.0, 3)
-        with span.child("finalize"):
+        mode, presentation, items, ingested = self._admit(body)
+        span.tag(format=",".join(sorted({f for _, _, f in ingested})), mode=mode)
+        admitted = time.perf_counter()
+        span.add_child_at("admission", started, admitted)
+        self.telemetry.record_stage("admission", admitted - started)
+
+        trees = [tree for _, tree, _ in ingested]
+        granted = self.batcher.reserve(len(trees)) if mode == MODE_RULE else 0
+        try:
+            if mode == MODE_RULE:
+                outcomes = self._narrate_here(trees[:granted], span)
+                outcomes += [self.batcher.overloaded()] * (len(trees) - granted)
+            else:
+                outcomes = self.batcher.submit_many(trees, [mode] * len(trees), span=span)
+            narrated = time.perf_counter()
+            latency_ms = round((narrated - admitted) * 1000.0, 3)
             for (index, tree, plan_format), outcome in zip(ingested, outcomes):
                 if isinstance(outcome, Exception):
                     items[index] = error_item(outcome)
@@ -216,7 +204,67 @@ class LanternService:
                 if presentation is not None:
                     item["rendered"] = self.lantern.render(outcome, tree=tree, mode=presentation)
                 items[index] = item
+            span.add_child_at("finalize", narrated, time.perf_counter())
+        finally:
+            # held through finalize, so a drain waits until the items exist
+            if granted:
+                self.batcher.release(granted)
         return items
+
+    def _admit(
+        self, body: Any
+    ) -> tuple[str, Optional[str], list[dict[str, Any]], list[tuple[int, OperatorTree, str]]]:
+        """Validate the envelope and ingest every plan: ``(mode,
+        presentation, items, ingested)``, where a plan that failed to ingest
+        already has its error item and ``ingested`` holds ``(index, tree,
+        format)`` for the rest."""
+        if self.draining:
+            raise ServiceDrainingError("this worker is draining for restart; retry elsewhere")
+        plans = envelope_plans(body)
+        mode = body.get("mode", self.config.default_mode)
+        if mode not in _MODES:
+            raise RequestError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
+        presentation = body.get("presentation")
+        if presentation is not None and presentation not in PRESENTATION_MODES:
+            raise RequestError(
+                f"unknown presentation {presentation!r}; "
+                f"expected one of {list(PRESENTATION_MODES)}"
+            )
+        items: list[dict[str, Any]] = [{} for _ in plans]
+        ingested: list[tuple[int, OperatorTree, str]] = []
+        for index, plan in enumerate(plans):
+            try:
+                tree, plan_format = self.lantern.registry.ingest(plan, body.get("format"))
+            except Exception as error:  # noqa: BLE001 - answered in this plan's item
+                items[index] = error_item(error)
+            else:
+                ingested.append((index, tree, plan_format))
+        return mode, presentation, items, ingested
+
+    def _narrate_here(
+        self, trees: list[OperatorTree], span: Span
+    ) -> list[Union[Narration, Exception]]:
+        """Rule-narrate ``trees`` on the calling handler thread.
+
+        Telemetry sees the run as one batch of its plans and its time as the
+        ``decode`` stage; an exception out of the facade fails every plan
+        and counts as a batch failure of its error class, as on the worker.
+        """
+        if not trees:
+            return []
+        self.telemetry.record_batch(len(trees))
+        tags: dict[str, Any] = {"batch_size": len(trees), "mode": MODE_RULE}
+        started = time.perf_counter()
+        try:
+            outcomes = self.lantern.describe_plans(trees, MODE_RULE, collect_errors=True)
+        except Exception as error:  # noqa: BLE001 - every plan answers with it
+            self.telemetry.record_batch_failure(error)
+            outcomes = [error] * len(trees)
+            tags["error"] = type(error).__name__
+        ended = time.perf_counter()
+        span.add_child_at("decode", started, ended, **tags)
+        self.telemetry.record_stage("decode", ended - started)
+        return outcomes
 
     def routes(self) -> dict[tuple[str, str], Route]:
         """The route table this process serves.  A fleet worker (one with an
@@ -415,10 +463,13 @@ class LanternService:
 
     def drain_and_stop(self) -> None:
         """The stop routine of a serving process: :meth:`begin_drain`, give
-        the queued narrations up to five seconds to finish, then :meth:`stop`."""
+        the queued narrations and the rule narrations running on handler
+        threads up to five seconds to finish, then :meth:`stop`."""
         self.begin_drain()
         deadline = time.monotonic() + 5.0
-        while self.batcher.queue_depth > 0 and time.monotonic() < deadline:
+        while (
+            self.batcher.queue_depth > 0 or self.batcher.reserved > 0
+        ) and time.monotonic() < deadline:
             time.sleep(0.05)
         self.stop()
 

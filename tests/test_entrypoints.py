@@ -101,6 +101,49 @@ def test_service_exits_0_after_sigterm(tmp_path):
     assert returncode == 0, (tmp_path / "stderr").read_text()
 
 
+#: a service whose rule narrations take a second, announced on stdout
+SLOW_RULE_SERVICE = """
+import time
+from repro.service.server import build_service
+
+service = build_service(port=0)
+narrate = service.lantern.describe_plans
+
+def slow(trees, mode="rule", *args, **kwargs):
+    print("narrating", flush=True)
+    time.sleep(1.0)
+    return narrate(trees, mode, *args, **kwargs)
+
+service.lantern.describe_plans = slow
+service.serve_forever()
+"""
+
+
+def test_sigterm_during_a_rule_request_still_answers_it(tmp_path):
+    """A rule request is narrated on its handler thread, not the batch
+    worker; the stop routine waits for it before the process exits."""
+    process, url = _boot(["-c", SLOW_RULE_SERVICE], tmp_path / "stderr")
+    plan = {"Plan": {"Node Type": "Seq Scan", "Relation Name": "author"}}
+    answered: list[tuple[int, dict]] = []
+    request = threading.Thread(
+        target=lambda: answered.append(
+            LanternClient(url, timeout_s=30.0).request_json("POST", "/narrate", {"plan": plan})
+        ),
+        daemon=True,
+    )
+    try:
+        request.start()
+        for line in process.stdout:  # the rest of the banner, then the request
+            if line.strip() == "narrating":
+                break
+    finally:
+        returncode = _stop(process, signal.SIGTERM)
+    request.join(timeout=EXIT_DEADLINE_S)
+    assert returncode == 0, (tmp_path / "stderr").read_text()
+    ((status, body),) = answered
+    assert status == 200 and body["narration"]["steps"], body
+
+
 def test_rule_only_service_imports_no_nlg_or_fleet_and_exits_0_after_sigint(tmp_path):
     """A rule-only service loads neither the neural stack nor the fleet, and
     SIGINT stops it the same way SIGTERM does."""

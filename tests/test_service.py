@@ -155,8 +155,9 @@ class TestEndpoints:
                 client._request(method, path, {"plan": "[]"} if method == "POST" else None)
             assert excinfo.value.status == 404
 
-    def test_metrics_shape(self, rule_service):
+    def test_metrics_shape(self, rule_service, payloads):
         _, client = rule_service
+        client.narrate(payloads[0], mode="auto")  # queued: the worker records a batch
         metrics = client.metrics()
         assert metrics["requests"]["total"] >= 1
         assert {"p50", "p90", "p99"} <= metrics["latency_ms"].keys()
@@ -307,6 +308,254 @@ class TestNeuralServing:
         rule_only = build_service(port=0)
         assert "decode" not in rule_only.metrics()
         assert "lantern_decode_steps_total" not in rule_only.prometheus_metrics()
+
+
+def _gate(lantern, modes: tuple[str, ...]):
+    """Make ``lantern.describe_plans`` wait on a gate for calls in ``modes``;
+    returns ``(gate, entered, restore)``."""
+    gate = threading.Event()
+    entered = threading.Event()
+    original = lantern.describe_plans
+
+    def gated(trees, mode="rule", *args, **kwargs):
+        calls = [mode] if isinstance(mode, str) else list(mode)
+        if any(call in modes for call in calls):
+            entered.set()
+            gate.wait(timeout=10.0)
+        return original(trees, mode, *args, **kwargs)
+
+    lantern.describe_plans = gated
+
+    def restore():
+        gate.set()
+        lantern.describe_plans = original
+
+    return gate, entered, restore
+
+
+class TestRuleVenue:
+    """A ``rule`` request is narrated on its own handler thread; only
+    requests that can decode go through the batch worker's queue."""
+
+    def test_rule_request_completes_while_the_worker_is_held(self, payloads):
+        service = build_service(port=0)
+        gate, entered, restore = _gate(service.lantern, ("auto",))
+        host, port = service.start()
+        url = f"http://{host}:{port}"
+        client = LanternClient(url)
+        held: list[int] = []
+        auto = threading.Thread(
+            target=lambda: held.append(
+                LanternClient(url).request_json(
+                    "POST", "/narrate", {"plan": payloads[0], "mode": "auto"}
+                )[0]
+            ),
+            daemon=True,
+        )
+        try:
+            auto.start()
+            assert entered.wait(timeout=5.0), "auto request never reached the worker"
+            started = time.monotonic()
+            result = client.narrate(payloads[1])
+            assert time.monotonic() - started < 5.0  # not after the gate's 10 s
+            assert result["narration"]["steps"] and result["mode"] == "rule"
+            assert not held  # the auto request is still held by the gate
+        finally:
+            restore()
+            auto.join(timeout=10.0)
+            client.close()
+            service.stop()
+        assert held == [200]
+
+    def test_rule_traffic_leaves_the_queue_empty(self, payloads):
+        service = build_service(port=0)
+        enqueued = []
+        real_put = service.batcher._queue.put_nowait
+        service.batcher._queue.put_nowait = lambda request: (
+            enqueued.append(request), real_put(request)
+        )
+        host, port = service.start()
+        url = f"http://{host}:{port}"
+        depths: list[int] = []
+        done = threading.Event()
+
+        def sample() -> None:
+            while not done.is_set():
+                depths.append(service.batcher.queue_depth)
+                time.sleep(0.0005)
+
+        def drive(offset: int) -> None:
+            with LanternClient(url) as client:
+                for payload in payloads[offset::2]:
+                    client.narrate(payload)
+                client.narrate_batch(payloads[:4])
+
+        sampler = threading.Thread(target=sample, daemon=True)
+        drivers = [threading.Thread(target=drive, args=(i % 2,)) for i in range(4)]
+        try:
+            sampler.start()
+            for driver in drivers:
+                driver.start()
+            for driver in drivers:
+                driver.join(timeout=30.0)
+            done.set()
+            sampler.join(timeout=5.0)
+            with LanternClient(url) as client:
+                metrics = client.metrics()
+                exposition = client.prometheus_metrics()
+        finally:
+            done.set()
+            service.stop()
+        assert enqueued == []
+        assert depths and max(depths) == 0
+        assert metrics["batching"]["queue_depth"] == 0
+        assert "lantern_queue_depth 0" in exposition
+        # each direct run is one batch of its plans
+        assert metrics["batching"]["batches"] == 4 * (len(payloads) // 2 + 1)
+        assert metrics["batching"]["requests_batched"] == 4 * (len(payloads) // 2 + 4)
+        assert service.batcher.reserved == 0
+
+    def test_rule_threads_beside_a_streaming_auto_run(self, payloads, trained_neural):
+        """8 threads of rule requests while 2 threads stream ``auto`` requests
+        through the decode: every rule narration equals the reference
+        facade's, and the habituation counts total what a sequential run of
+        the same plans records."""
+        exposure_before = dict(trained_neural._act_exposure)
+        trained_neural._act_exposure.clear()
+        trained_neural.decode_cache.clear()
+        facade = Lantern(neural=trained_neural, config=LanternConfig(seed=None))
+        service = build_service(lantern=facade, port=0)
+        host, port = service.start()
+        url = f"http://{host}:{port}"
+        reference = Lantern(config=LanternConfig(seed=None))
+        expected = {
+            payload: reference.describe_plan(reference.parse_plan(payload)).text
+            for payload in payloads
+        }
+        rule_sent = [payload for payload in payloads for _ in range(2)]
+        auto_sent = payloads * 2
+        failures: list[str] = []
+
+        def rule_thread(slot: int) -> None:
+            with LanternClient(url, timeout_s=60.0) as client:
+                for payload in rule_sent[slot::8]:
+                    served = client.narrate(payload)["narration"]["text"]
+                    if served != expected[payload]:
+                        failures.append(f"rule narration differs for {payload[:40]!r}")
+
+        def auto_thread(slot: int) -> None:
+            with LanternClient(url, timeout_s=60.0) as client:
+                for payload in auto_sent[slot::2]:
+                    if "narration" not in client.narrate(payload, mode="auto"):
+                        failures.append("auto request failed")
+
+        threads = [threading.Thread(target=auto_thread, args=(i,)) for i in range(2)]
+        threads += [threading.Thread(target=rule_thread, args=(i,)) for i in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            steps = service.metrics()["decode"]["steps"]
+        finally:
+            service.stop()
+            trained_neural.decode_cache.clear()
+            trained_neural._act_exposure.clear()
+            trained_neural._act_exposure.update(exposure_before)
+        assert not failures
+        assert steps > 0  # the auto requests did decode beside the rule ones
+        sequential = Lantern(config=LanternConfig(seed=None))
+        for payload in rule_sent + auto_sent:
+            sequential.describe_plan(sequential.parse_plan(payload))
+        assert facade._operator_counts == sequential._operator_counts
+
+    def test_rule_narrations_past_the_bound_are_overloaded(self, payloads):
+        """Rule narrations running on handler threads count against
+        ``max_queue_depth`` like queued ones: past it a rule request gets 429
+        ``overloaded`` with ``Retry-After``, and so does a queued mode."""
+        import http.client
+
+        service = build_service(port=0, max_queue_depth=2)
+        gate, entered, restore = _gate(service.lantern, ("rule",))
+        host, port = service.start()
+        url = f"http://{host}:{port}"
+        client = LanternClient(url)
+        held: list[int] = []
+        blocked = [
+            threading.Thread(
+                target=lambda: held.append(
+                    LanternClient(url).request_json("POST", "/narrate", {"plan": payloads[0]})[0]
+                ),
+                daemon=True,
+            )
+            for _ in range(2)
+        ]
+        try:
+            for thread in blocked:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while service.batcher.reserved < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.batcher.reserved == 2  # the shared bound is full
+            assert service.batcher.queue_depth == 0
+
+            for options in ({}, {"mode": "auto"}):
+                single = _plan_outcome(client, payloads[1], batch=False, **options)
+                item = _plan_outcome(client, payloads[1], batch=True, **options)
+                assert single[0] == item[0] == 429
+                assert single[1]["error"] == item[1]["error"] == "overloaded"
+                assert single[1]["retry_after_s"] == item[1]["retry_after_s"] == 1
+
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                connection.request(
+                    "POST", "/narrate", body=json.dumps({"plan": payloads[1]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 429
+                assert response.getheader("Retry-After") == "1"
+            finally:
+                connection.close()
+        finally:
+            restore()
+            for thread in blocked:
+                thread.join(timeout=10.0)
+            client.close()
+            service.stop()
+        assert held == [200, 200]
+        assert service.batcher.reserved == 0
+
+    def test_drain_waits_for_a_rule_narration(self, payloads):
+        """The stop routine waits for rule narrations running on handler
+        threads, as it waits for the queue."""
+        service = build_service(port=0)
+        gate, entered, restore = _gate(service.lantern, ("rule",))
+        host, port = service.start()
+        url = f"http://{host}:{port}"
+        answered: list[int] = []
+        request = threading.Thread(
+            target=lambda: answered.append(
+                LanternClient(url).request_json("POST", "/narrate", {"plan": payloads[0]})[0]
+            ),
+            daemon=True,
+        )
+        stopper = threading.Thread(target=service.drain_and_stop, daemon=True)
+        try:
+            request.start()
+            assert entered.wait(timeout=5.0)
+            stopper.start()
+            stopper.join(timeout=1.0)  # longer than the HTTP shutdown's poll
+            assert stopper.is_alive()  # still waiting for the rule narration
+            gate.set()
+            request.join(timeout=10.0)
+            stopper.join(timeout=10.0)
+            assert not stopper.is_alive()
+        finally:
+            restore()
+            service.stop()
+        assert answered == [200]
 
 
 class _BlockingLantern:
@@ -585,46 +834,65 @@ def _heavy_plan() -> dict:
 
 
 class TestTracing:
-    REQUIRED_STAGES = {"admission", "queue_wait", "batch_assembly", "decode", "respond"}
+    QUEUED_STAGES = {"admission", "queue_wait", "batch_assembly", "decode", "wake", "respond"}
+    RULE_STAGES = {"read_body", "admission", "decode", "finalize", "respond"}
+
+    def _traces(self, client, mode: str) -> list[dict]:
+        """Three traced ``mode`` narrations of the heavy plan."""
+        traces = []
+        for _ in range(3):  # the ratio check keeps the best of three
+            result = client.narrate(_heavy_plan(), mode=mode)
+            assert result["narration"]["steps"]
+            trace_id = result["trace_id"]
+            document = client.trace()
+            assert document["enabled"] is True
+            (trace,) = [
+                candidate
+                for candidate in document["slowest"]
+                if candidate["trace_id"] == trace_id
+            ]
+            assert trace["name"] == "POST /narrate"
+            assert trace["tags"]["status"] == 200
+            traces.append(trace)
+        return traces
+
+    @staticmethod
+    def _coverage(trace: dict) -> float:
+        stage_sum = sum(child["duration_ms"] for child in trace["children"])
+        assert stage_sum <= trace["duration_ms"] * 1.001  # stages nest inside
+        return stage_sum / trace["duration_ms"]
 
     def test_single_narrate_yields_complete_trace(self):
         """Acceptance: one POST /narrate produces a retrievable span tree
-        covering admission → queue wait → batch assembly → decode (with
-        cache and precision tags) → respond, whose stage durations tile the
-        recorded end-to-end latency to within 10%."""
+        whose stage durations tile the recorded end-to-end latency to within
+        10%.  A request that queues (``auto``, here on a rule-only service)
+        covers admission → queue wait → batch assembly → decode (with cache
+        and precision tags) → wake → respond; a ``rule`` request is narrated
+        on its handler thread and has no queue stages."""
         service = build_service(port=0)
         host, port = service.start()
         client = LanternClient(f"http://{host}:{port}")
         try:
-            traces = []
-            for _ in range(3):  # the ratio check keeps the best of three
-                result = client.narrate(_heavy_plan())
-                assert result["narration"]["steps"]
-                trace_id = result["trace_id"]
-                document = client.trace()
-                assert document["enabled"] is True
-                (trace,) = [
-                    candidate
-                    for candidate in document["slowest"]
-                    if candidate["trace_id"] == trace_id
-                ]
-                traces.append(trace)
-
-            ratios = []
-            for trace in traces:
-                assert trace["name"] == "POST /narrate"
-                assert trace["tags"]["status"] == 200
+            queued = self._traces(client, "auto")
+            for trace in queued:
                 children = {child["name"]: child for child in trace["children"]}
-                assert self.REQUIRED_STAGES <= children.keys()
+                assert self.QUEUED_STAGES <= children.keys()
                 decode = children["decode"]["tags"]
                 assert decode["batch_size"] >= 1
-                assert decode["mode"] == "rule"
+                assert decode["mode"] == "auto"
                 assert decode["precision"] == "rule"  # no neural generator
                 assert decode["cache_hits"] >= 0 and decode["cache_misses"] >= 0
-                stage_sum = sum(child["duration_ms"] for child in trace["children"])
-                assert stage_sum <= trace["duration_ms"] * 1.001  # stages nest inside
-                ratios.append(stage_sum / trace["duration_ms"])
-            assert max(ratios) >= 0.90, f"stage coverage too low: {ratios}"
+            ratios = [self._coverage(trace) for trace in queued]
+            assert max(ratios) >= 0.90, f"queued stage coverage too low: {ratios}"
+
+            direct = self._traces(client, "rule")
+            for trace in direct:
+                names = [child["name"] for child in trace["children"]]
+                assert sorted(names) == sorted(self.RULE_STAGES)
+                decode = next(c for c in trace["children"] if c["name"] == "decode")
+                assert decode["tags"] == {"batch_size": 1, "mode": "rule"}
+            ratios = [self._coverage(trace) for trace in direct]
+            assert max(ratios) >= 0.90, f"rule stage coverage too low: {ratios}"
         finally:
             client.close()
             service.stop()
@@ -719,13 +987,15 @@ class TestObservabilityEndpoints:
         host, port = service.start()
         client = LanternClient(f"http://{host}:{port}")
         try:
-            with pytest.raises(LanternServiceError) as excinfo:
-                client.narrate(payloads[0])
-            assert excinfo.value.status == 500
+            # one failure on the batch worker, one on the rule handler thread
+            for mode in ("auto", "rule"):
+                with pytest.raises(LanternServiceError) as excinfo:
+                    client.narrate(payloads[0], mode=mode)
+                assert excinfo.value.status == 500
             metrics = client.metrics()
-            assert metrics["batching"]["batches_failed"] == 1
-            assert metrics["batching"]["batch_errors"] == {"RuntimeError": 1}
-            assert "lantern_batches_failed_total 1" in client.prometheus_metrics()
+            assert metrics["batching"]["batches_failed"] == 2
+            assert metrics["batching"]["batch_errors"] == {"RuntimeError": 2}
+            assert "lantern_batches_failed_total 2" in client.prometheus_metrics()
         finally:
             client.close()
             service.stop()
@@ -763,10 +1033,11 @@ def _unknown_source_plan() -> dict:
     }
 
 
-def _plan_outcome(client, plan, batch: bool) -> tuple[int, dict]:
+def _plan_outcome(client, plan, batch: bool, **options) -> tuple[int, dict]:
     """(status, error body) a client sees for one plan, sent alone or as the
     only item of a batch (a batch refused whole reports the envelope)."""
     body = {"plans": [plan]} if batch else {"plan": plan}
+    body.update(options)
     status, payload = client.request_json("POST", "/narrate", body)
     if batch and status == 200:
         (item,) = payload["results"]
@@ -810,7 +1081,8 @@ class TestErrorContractParity:
 
     def test_full_queue(self):
         """Overload is a 429 with ``retry_after_s`` both ways, and the
-        single response also carries the ``Retry-After`` header."""
+        single response also carries the ``Retry-After`` header.  The
+        requests are ``auto``, which queue for the batch worker."""
         import http.client
 
         service = build_service(port=0, max_batch_size=1, max_queue_depth=1)
@@ -830,7 +1102,7 @@ class TestErrorContractParity:
         blocked = [
             threading.Thread(
                 target=lambda: LanternClient(f"http://{host}:{port}").request_json(
-                    "POST", "/narrate", {"plan": plan}
+                    "POST", "/narrate", {"plan": plan, "mode": "auto"}
                 ),
                 daemon=True,
             )
@@ -845,8 +1117,8 @@ class TestErrorContractParity:
                 time.sleep(0.005)
             assert service.batcher.queue_depth == 1  # the queue is now full
 
-            single = _plan_outcome(client, plan, batch=False)
-            item = _plan_outcome(client, plan, batch=True)
+            single = _plan_outcome(client, plan, batch=False, mode="auto")
+            item = _plan_outcome(client, plan, batch=True, mode="auto")
             assert single[0] == item[0] == 429
             assert single[1]["error"] == item[1]["error"] == "overloaded"
             assert single[1]["retry_after_s"] == item[1]["retry_after_s"] == 1
@@ -854,7 +1126,7 @@ class TestErrorContractParity:
             connection = http.client.HTTPConnection(host, port, timeout=10)
             try:
                 connection.request(
-                    "POST", "/narrate", body=json.dumps({"plan": plan}),
+                    "POST", "/narrate", body=json.dumps({"plan": plan, "mode": "auto"}),
                     headers={"Content-Type": "application/json"},
                 )
                 response = connection.getresponse()
