@@ -196,12 +196,3 @@ class PoolParser(SqlParser):
 def parse_pool(statement: str) -> PoolStatement:
     """Parse a single POOL statement."""
     return PoolParser(tokenize(statement)).parse_statement()
-
-
-def parse_pool_script(script: str) -> list[PoolStatement]:
-    """Parse a semicolon-separated sequence of POOL statements."""
-    statements: list[PoolStatement] = []
-    for chunk in script.split(";"):
-        if chunk.strip():
-            statements.append(parse_pool(chunk))
-    return statements

@@ -42,7 +42,7 @@ from repro.sqlengine.physical import (
     UNIQUE,
 )
 from repro.sqlengine.storage import BTreeIndexData, StorageManager
-from repro.sqlengine.types import to_sortable
+from repro.sqlengine.types import DataType, date_operand, to_sortable
 
 Row = dict[str, Any]
 
@@ -82,14 +82,15 @@ class Executor:
     def _execute_index_scan(self, node: PlanNode) -> list[Row]:
         table = self._storage.table(node.relation)
         index_data = self._storage.index_data(node.index_name)
-        row_ids = self._index_lookup(node, index_data)
+        key_type = table.schema.column(index_data.index.leading_column).data_type
+        row_ids = self._index_lookup(node, index_data, key_type is DataType.DATE)
         prefix = (node.alias or node.relation).lower()
         names = [f"{prefix}.{column.name}" for column in table.schema.columns]
         rows = [dict(zip(names, table.fetch(row_id))) for row_id in row_ids]
         rows = self._apply_filter(rows, node.index_condition)
         return self._apply_filter(rows, node.filter)
 
-    def _index_lookup(self, node: PlanNode, index_data) -> list[int]:
+    def _index_lookup(self, node: PlanNode, index_data, date_key: bool) -> list[int]:
         conjuncts = split_conjuncts(node.index_condition)
         equality_value = None
         low = high = None
@@ -100,6 +101,8 @@ class Executor:
             column, value, operator = _normalize_comparison(conjunct)
             if column is None:
                 continue
+            if date_key:
+                value = date_operand(value)
             if operator == "=":
                 equality_value = value
             elif operator in (">", ">="):

@@ -26,6 +26,7 @@ from repro.sqlengine.ast_nodes import (
     NotOp,
     Star,
 )
+from repro.sqlengine.types import date_operand
 
 Row = Mapping[str, Any]
 
@@ -69,10 +70,10 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
 def _compare(operator: str, left: Any, right: Any) -> Optional[bool]:
     if left is None or right is None:
         return None
-    if isinstance(left, datetime.date) and isinstance(right, str):
-        right = datetime.date.fromisoformat(right)
-    if isinstance(right, datetime.date) and isinstance(left, str):
-        left = datetime.date.fromisoformat(left)
+    if isinstance(left, datetime.date):
+        right = date_operand(right)
+    elif isinstance(right, datetime.date):
+        left = date_operand(left)
     if operator == "=":
         return left == right
     if operator in ("<>", "!="):

@@ -50,6 +50,15 @@ def coerce(value: Any, data_type: DataType) -> Any:
     raise TypeError(f"unsupported data type: {data_type!r}")
 
 
+def date_operand(value: Any) -> Any:
+    """``value`` as the other side of a comparison with a DATE.
+
+    An ISO string reads as a date (``o_orderdate = '1992-01-01'``); any other
+    value is returned as is.
+    """
+    return datetime.date.fromisoformat(value) if isinstance(value, str) else value
+
+
 def to_sortable(value: Any) -> Any:
     """Map a value to something orderable against other values of its column.
 

@@ -1,6 +1,6 @@
 """The docs stay honest: links resolve, fences parse, `python run` executes.
 
-Conventions enforced here (and relied on by the CI docs job):
+Conventions enforced here:
 
 * every relative markdown link in ``README.md`` and ``docs/*.md`` must
   point at an existing file, and a ``#fragment`` must name a real heading
@@ -15,6 +15,10 @@ Conventions enforced here (and relied on by the CI docs job):
 
 Fences tagged ``text``, ``yaml``, or left bare are illustrative output and
 are skipped.
+
+CI runs scripts by path, so every repo path that a ``run:`` line of
+``ci.yml`` or a string of ``tests/smoke.py`` names must exist, and the smoke
+script must byte-compile: a rename then fails here, not only in CI.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ _FENCE_OPEN = re.compile(r"^```(\S*)\s*(.*)$")
 # [text](target) — excluding images; target may carry a #fragment
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
+CI_PATH = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+SMOKE_PATH = REPO_ROOT / "tests" / "smoke.py"
+# a relative repo path with a directory and a file extension: tests/smoke.py
+_REPO_PATH = re.compile(r"(?<![\w./-])((?:[\w-]+/)+[\w-]+\.\w+)")
 
 
 def _doc_id(path: Path) -> str:
@@ -172,3 +180,21 @@ class TestFences:
     @pytest.mark.parametrize("path,info,body", _fences("json"))
     def test_json_fences_parse(self, path: Path, info: str, body: str) -> None:
         json.loads(body)
+
+
+class TestCi:
+    def test_run_lines_and_smoke_name_existing_paths(self) -> None:
+        runs = [
+            line.split("run:", 1)[1]
+            for line in CI_PATH.read_text(encoding="utf-8").splitlines()
+            if line.strip().startswith("run:")
+        ]
+        smoke = SMOKE_PATH.read_text(encoding="utf-8")
+        named = {path for line in runs for path in _REPO_PATH.findall(line)}
+        assert "tests/smoke.py" in named, runs
+        named |= set(re.findall(r'"((?:[\w-]+/)+[\w-]+\.py)"', smoke))
+        missing = sorted(path for path in named if not (REPO_ROOT / path).is_file())
+        assert not missing, f"CI names paths that do not exist: {missing}"
+
+    def test_smoke_script_compiles(self) -> None:
+        compile(SMOKE_PATH.read_text(encoding="utf-8"), str(SMOKE_PATH), "exec")

@@ -6,7 +6,7 @@ from repro.errors import PoolSemanticError, PoolSyntaxError
 from repro.pool import PoolSession, build_default_store, normalize_operator_name
 from repro.pool.ast_nodes import ComposeStatement, CreateOperatorStatement, PoolSelectStatement, UpdateStatement
 from repro.pool.catalogs import postgresql_operator_definitions, sqlserver_operator_definitions
-from repro.pool.parser import parse_pool, parse_pool_script
+from repro.pool.parser import parse_pool
 from repro.pool.poem import PoemStore, compose_pair_template, operator_template
 
 
@@ -142,12 +142,6 @@ class TestPoolParser:
         assert isinstance(statement, UpdateStatement)
         assert "desc" in statement.assignments
         assert statement.assignments["desc"].replace is not None
-
-    def test_parse_script_multiple_statements(self):
-        statements = parse_pool_script(
-            "SELECT defn FROM pg WHERE name = 'sort'; COMPOSE sort FROM pg;"
-        )
-        assert len(statements) == 2
 
     def test_unknown_statement_rejected(self):
         with pytest.raises(PoolSyntaxError):

@@ -1,5 +1,7 @@
 """Integration tests: planning + execution produce correct results on known data."""
 
+import datetime
+
 import pytest
 
 from repro.sqlengine import Database, DataType
@@ -29,6 +31,38 @@ class TestScansAndFilters:
     def test_projection_expression(self, toy_db):
         rows = toy_db.execute("SELECT o.amount * 2 AS double_amount FROM orders o WHERE o.order_id = 10")
         assert rows[0]["double_amount"] == pytest.approx(240.0)
+
+
+class TestDateIndexScan:
+    """An ISO string bound on a DATE index key reads as a date, as in a filter."""
+
+    EQUAL = "SELECT o.o_orderkey FROM orders o WHERE o.o_orderdate = '1992-01-01'"
+
+    @staticmethod
+    def _expected(tpch_db, keep):
+        orders = tpch_db.storage.table("orders").as_dicts("o")
+        return sorted(row["o.o_orderkey"] for row in orders if keep(row["o.o_orderdate"]))
+
+    def test_equality_index_scan_matches_python_filter(self, tpch_db):
+        plan = tpch_db.plan(self.EQUAL)
+        assert plan.root.node_type == "Index Scan"
+        assert plan.root.index_name == "idx_orders_orderdate"
+        rows = tpch_db.execute_plan(plan)
+        expected = self._expected(tpch_db, lambda day: day == datetime.date(1992, 1, 1))
+        assert expected and sorted(row["o_orderkey"] for row in rows) == expected
+
+    def test_range_index_scan_matches_python_filter(self, tpch_db):
+        # the planner prefers a Seq Scan for string ranges on this table, so
+        # the equality plan's index scan is given the range condition instead
+        plan = tpch_db.plan(self.EQUAL)
+        plan.root.index_condition = tpch_db.parse(
+            "SELECT o.o_orderkey FROM orders o "
+            "WHERE o.o_orderdate > '1995-01-01' AND o.o_orderdate <= '1995-03-01'"
+        ).where
+        rows = tpch_db.execute_plan(plan)
+        low, high = datetime.date(1995, 1, 1), datetime.date(1995, 3, 1)
+        expected = self._expected(tpch_db, lambda day: low < day <= high)
+        assert expected and sorted(row["o_orderkey"] for row in rows) == expected
 
 
 class TestJoins:
